@@ -1,10 +1,13 @@
 """Analyses layered on escape information: sharing (Theorem 2)."""
 
-from repro.analysis.sharing import (
-    SharingInfo,
-    observed_unshared_spines,
-    sharing_global,
-    sharing_local,
-)
+from repro import _lazy_exports
 
-__all__ = ["SharingInfo", "observed_unshared_spines", "sharing_global", "sharing_local"]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.sharing": (
+            "SharingInfo", "observed_unshared_spines", "sharing_global",
+            "sharing_local",
+        ),
+    },
+)

@@ -19,14 +19,16 @@ to validate the theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.escape.results import EscapeResults
-from repro.escape.exact import Source
 from repro.lang.ast import Program
 from repro.lang.errors import AnalysisError
-from repro.semantics.interp import Interpreter
-from repro.semantics.values import Value, VClosure, VCons, VPrim
 from repro.types.types import fun_args, spines
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.semantics.interp import Interpreter
+    from repro.semantics.values import Value
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,10 @@ def observed_unshared_spines(
     result spine levels ``1..t`` is unshared — the quantity Theorem 2
     bounds from below.
     """
+    from repro.escape.exact import Source
+    from repro.semantics.interp import Interpreter
+    from repro.semantics.values import VClosure, VCons, VPrim
+
     interp = Interpreter()
     fn_value = interp.eval_in(program, function)
     arg_values = [

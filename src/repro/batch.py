@@ -51,12 +51,34 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 
+# Everything a worker body runs is imported here, before the supervisor's
+# first fork, so each worker inherits it instead of importing it again.
+# The checker's passes import their modules when they first run, so those
+# modules are named here.
+import repro.check.audit  # noqa: F401
+import repro.check.lint  # noqa: F401
+import repro.machine.compiler  # noqa: F401
+import repro.machine.verify  # noqa: F401
+import repro.opt.driver  # noqa: F401
+from repro.analysis.heap_liveness import analyze_program
+from repro.check import check_program
+from repro.escape.analyzer import EscapeAnalysis
+from repro.escape.engine import default_engine, validate_engine, warn_legacy_engine
+from repro.escape.report import stats_dict
+from repro.lang.parser import parse_program
 from repro.obs import context as obs_context
 from repro.obs import tracer as obs
 from repro.obs.context import TraceContext
+from repro.obs.flight import FlightRecorder, dump_dir_from_env
+from repro.obs.sinks import JsonlSink
 from repro.robust import faults
+from repro.robust.budget import AnalysisBudget
+from repro.robust.engine import HardenedAnalysis
 from repro.robust.errors import reason_for
 from repro.robust.resilience import Quarantine, RetryPolicy
+from repro.semantics.interp import Interpreter
+from repro.store import AnalysisStore
+from repro.types.types import arity
 
 #: Exit code a worker process dies with under an injected crash fault.
 WORKER_CRASH_EXIT = 23
@@ -349,13 +371,9 @@ def execute_under_collector(
     :func:`repro.analysis.heap_liveness.analyze_program` pass; degraded
     facts run as full-reachability marking (the summary records it).
     """
-    from repro.semantics.interp import Interpreter
-
     summary: dict = {"collector": collector, "ok": True}
     budgets = None
     if collector == "liveness":
-        from repro.analysis.heap_liveness import analyze_program
-
         facts = analyze_program(program)
         summary["facts_degraded"] = facts.degraded
         budgets = None if facts.degraded else facts.budget_map()
@@ -404,11 +422,6 @@ def analyze_one(
     Module-level and argument-picklable on purpose: the supervisor ships
     it to worker processes under any start method.
     """
-    from repro.escape.report import stats_dict
-    from repro.lang.parser import parse_program
-    from repro.store import AnalysisStore
-    from repro.types.types import arity
-
     try:
         program = parse_program(Path(path).read_text())
         store = AnalysisStore(store_root) if store_root else None
@@ -417,8 +430,6 @@ def analyze_one(
                 path, program, store, d, max_iterations, deadline_ms, engine
             )
         else:
-            from repro.escape.analyzer import EscapeAnalysis
-
             analysis = EscapeAnalysis(
                 program, d=d, max_iterations=max_iterations, store=store, engine=engine
             )
@@ -438,8 +449,6 @@ def analyze_one(
             )
         if check:
             try:
-                from repro.check import check_program
-
                 report.check = check_program(program, path=str(path)).counts()
             except Exception as error:  # contained like an analysis error
                 report.check_error = f"{type(error).__name__}: {error}"
@@ -465,11 +474,6 @@ def _analyze_hardened(
 ) -> FileReport:
     """The budgeted worker body: every query through the hardened engine,
     degradations collected instead of raised."""
-    from repro.escape.report import stats_dict
-    from repro.robust.budget import AnalysisBudget
-    from repro.robust.engine import HardenedAnalysis
-    from repro.types.types import arity
-
     hardened = HardenedAnalysis(
         program,
         budget=AnalysisBudget(deadline_s=deadline_ms / 1000.0),
@@ -580,14 +584,10 @@ def _worker_main(
     with the originating trace_id.  ``shard_path`` names the worker's own
     JSONL shard; the driver merges shards after the run.
     """
-    from repro.obs import tracer as tracer_mod
-    from repro.obs.flight import FlightRecorder, dump_dir_from_env
-    from repro.obs.sinks import JsonlSink
-
     # Under a fork start method the child inherits the driver's active
     # tracer — and with it the driver's open trace file.  Events must go
     # to this worker's own shard, never interleave into the parent's.
-    tracer_mod._active = None
+    obs._active = None
 
     ctx = TraceContext.from_wire(ctx_wire)
     with contextlib.ExitStack() as stack:
@@ -604,7 +604,7 @@ def _worker_main(
                 )
             )
         if sinks:
-            stack.enter_context(tracer_mod.activate(tracer_mod.Tracer(sinks=sinks)))
+            stack.enter_context(obs.activate(obs.Tracer(sinks=sinks)))
         if ctx is not None:
             stack.enter_context(obs_context.attach(ctx))
         try:
@@ -905,8 +905,6 @@ def run_batch(
     are stamped with its trace_id, and supervised worker attempts write
     per-process JSONL shards into ``trace_dir`` for the driver to merge.
     """
-    from repro.escape.engine import default_engine, validate_engine, warn_legacy_engine
-
     inputs = collect_inputs(paths)
     root = str(store_root) if store_root is not None else None
     retry = retry or DEFAULT_RETRY

@@ -1,22 +1,18 @@
 """Benchmark-harness support: workload generators, table rendering, and the
 Figure 1 spine renderer."""
 
-from repro.bench.figures import render_spines, spine_census, spine_figure, spine_figure_of_expr
-from repro.bench.tables import print_table, render_table
-from repro.bench.workloads import (
-    literal,
-    ps_create_list_program,
-    ps_program,
-    random_int_list,
-    random_nested_list,
-    reference_ps,
-    reference_rev,
-    rev_program,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "render_spines", "spine_census", "spine_figure", "spine_figure_of_expr",
-    "print_table", "render_table", "literal", "ps_create_list_program",
-    "ps_program", "random_int_list", "random_nested_list", "reference_ps",
-    "reference_rev", "rev_program",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bench.figures": (
+            "render_spines", "spine_census", "spine_figure", "spine_figure_of_expr",
+        ),
+        "repro.bench.tables": ("print_table", "render_table"),
+        "repro.bench.workloads": (
+            "literal", "ps_create_list_program", "ps_program", "random_int_list",
+            "random_nested_list", "reference_ps", "reference_rev", "rev_program",
+        ),
+    },
+)

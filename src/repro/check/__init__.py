@@ -44,6 +44,7 @@ __all__ = [
     "RuleRegistry",
     "CHECK_PASSES",
     "check_program",
+    "rules_table",
 ]
 
 CHK001 = rule(
@@ -80,6 +81,18 @@ CHECK_PASSES: dict[str, Callable[[Program], list[Diagnostic]]] = {
     "audit": _run_audit,
     "machine": _run_machine,
 }
+
+
+def rules_table() -> str:
+    """The rule table of every pass (what ``repro check --rules`` prints).
+
+    A rule registers when its pass module is imported, and the passes
+    import their modules only when they run, so load all three first."""
+    import repro.check.audit  # noqa: F401
+    import repro.check.lint  # noqa: F401
+    import repro.machine.verify  # noqa: F401
+
+    return REGISTRY.table()
 
 
 def check_program(

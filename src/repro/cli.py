@@ -55,17 +55,14 @@ import ast as python_ast
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.sharing import sharing_global
 from repro.canonical import canonical_dumps, canonical_json
-from repro.escape.analyzer import EscapeAnalysis
-from repro.escape.exact import Source, observe_escape
-from repro.escape.report import analysis_report
-from repro.lang.ast import Program
 from repro.lang.errors import NmlError
-from repro.lang.parser import parse_program
-from repro.lang.pretty import pretty_program
-from repro.semantics.interp import Interpreter
+from repro.options import COLLECTORS, DEFAULT_ENGINE, ENGINES
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lang.ast import Program
 
 #: The exit-code taxonomy, shared by every subcommand:
 #:
@@ -96,6 +93,8 @@ _EXIT_CODE_HELP = (
 
 
 def _load_program(args: argparse.Namespace) -> Program:
+    from repro.lang.parser import parse_program
+
     if args.expr:
         return parse_program(args.program)
     return parse_program(Path(args.program).read_text())
@@ -131,8 +130,6 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.escape.engine import DEFAULT_ENGINE, ENGINES
-
     parser.add_argument(
         "--engine",
         choices=list(ENGINES),
@@ -157,8 +154,6 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 def _add_gc_arg(parser: argparse.ArgumentParser, help_prefix: str = "") -> None:
     """The ``--gc [COLLECTOR]`` flag: bare ``--gc`` keeps the historical
     mark-sweep default, ``--gc liveness|copying`` picks a zoo member."""
-    from repro.semantics.gc import COLLECTORS
-
     parser.add_argument(
         "--gc",
         nargs="?",
@@ -296,6 +291,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             gc_threshold=args.gc_threshold, sanitize=args.sanitize, **gc_kwargs
         )
     else:
+        from repro.semantics.interp import Interpreter
+
         runtime = Interpreter(
             gc_threshold=args.gc_threshold, sanitize=args.sanitize, **gc_kwargs
         )
@@ -315,6 +312,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         print(canonical_json(report_json(program, include_stats=args.stats)))
         return 0
+    from repro.escape.report import analysis_report
+
     print(analysis_report(program, include_stats=args.stats), end="")
     return 0
 
@@ -323,6 +322,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args)
     if _wants_robust(args):
         return _cmd_analyze_robust(args, program)
+    from repro.escape.analyzer import EscapeAnalysis
     from repro.escape.report import result_dict
 
     analysis = EscapeAnalysis(program, store=_store_from(args))
@@ -351,6 +351,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             else:
                 print(f"{result}  —  {result.describe()}")
         if args.sharing and not args.json:
+            from repro.analysis.sharing import sharing_global
+
             try:
                 print(f"  {sharing_global(analysis, name).describe()}")
             except NmlError:
@@ -416,12 +418,16 @@ def _cmd_analyze_robust(args: argparse.Namespace, program: Program) -> int:
 
 
 def _parse_observer_arg(text: str):
+    from repro.escape.exact import Source
+
     if text.startswith("@"):
         return Source(text[1:])
     return python_ast.literal_eval(text)
 
 
 def _cmd_observe(args: argparse.Namespace) -> int:
+    from repro.escape.exact import observe_escape
+
     program = _load_program(args)
     call_args = [_parse_observer_arg(a) for a in args.args]
     observed = observe_escape(program, args.function, call_args, args.index)
@@ -455,6 +461,8 @@ def _cmd_spines(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.lang.pretty import pretty_program
+
     program = _load_program(args)
     if _wants_robust(args):
         from repro.robust.pipeline import harden_optimize
@@ -588,6 +596,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         with activate(Tracer(sinks=sinks)):
             global_table(program)
             if args.run:
+                from repro.semantics.interp import Interpreter
+
                 runtime = Interpreter(**_runtime_gc_kwargs(args, program))
                 runtime.run(program)
     finally:
@@ -867,10 +877,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Run the static checker over one or more programs."""
-    from repro.check import REGISTRY, check_program
+    from repro.check import check_program, rules_table
+    from repro.lang.parser import parse_program
 
     if args.rules:
-        print(REGISTRY.table(), end="")
+        print(rules_table(), end="")
         return EXIT_OK
     if not args.paths:
         print("error: no program given (paths, or source with -e)", file=sys.stderr)

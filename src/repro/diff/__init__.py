@@ -22,12 +22,12 @@ over a generated corpus.
   corpus.
 """
 
-from repro.diff.compare import Comparison, compare_trees
-from repro.diff.snapshot import snapshot_corpus, snapshot_program
+from repro import _lazy_exports
 
-__all__ = [
-    "Comparison",
-    "compare_trees",
-    "snapshot_corpus",
-    "snapshot_program",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.diff.compare": ("Comparison", "compare_trees"),
+        "repro.diff.snapshot": ("snapshot_corpus", "snapshot_program"),
+    },
+)

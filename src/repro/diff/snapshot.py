@@ -39,8 +39,23 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+# Everything the worker body runs is imported here, before the batch
+# supervisor's first fork, so each worker inherits it (see repro.batch).
+from repro.analysis.heap_liveness import degraded_facts
+from repro.batch import BatchInputError, FileReport, collect_inputs, run_batch
 from repro.canonical import canonical_bytes, canonical_dumps
-from repro.lang.errors import NO_SPAN
+from repro.check import check_program
+from repro.escape.abstract import fingerprint
+from repro.escape.analyzer import EscapeAnalysis
+from repro.escape.engine import default_engine, validate_engine
+from repro.lang.errors import NO_SPAN, AnalysisError, NmlError
+from repro.lang.parser import parse_program
+from repro.machine.compiler import compile_program
+from repro.machine.instructions import disassemble, instruction_counts
+from repro.opt.driver import apply_plan, plan_optimizations
+from repro.query import DIGEST_VERSION
+from repro.store import AnalysisStore
+from repro.types.types import TFun, TList, TProd, TVar, TypeScheme, apply_subst, arity
 
 #: Bumped whenever the artifact layout changes incompatibly; compare
 #: refuses to pair artifacts across schema versions.
@@ -64,8 +79,6 @@ def _scheme_text(scheme) -> str:
     fresh-variable counter into artifacts (same program, different bytes
     per run), the exact instability :func:`repro.types.types
     .type_fingerprint` exists to kill for cache keys."""
-    from repro.types.types import TFun, TList, TProd, TVar, TypeScheme, apply_subst
-
     names: dict[TVar, TVar] = {}
 
     def collect(t) -> None:
@@ -101,16 +114,6 @@ def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
     (Parse/type failures are the caller's to turn into an error artifact —
     see :func:`error_artifact`.)
     """
-    from repro.check import check_program
-    from repro.escape.abstract import fingerprint
-    from repro.escape.analyzer import EscapeAnalysis
-    from repro.lang.errors import AnalysisError, NmlError
-    from repro.machine.compiler import compile_program
-    from repro.machine.instructions import disassemble, instruction_counts
-    from repro.opt.driver import apply_plan, plan_optimizations
-    from repro.query import DIGEST_VERSION
-    from repro.types.types import arity
-
     analysis = EscapeAnalysis(
         program, d=d, max_iterations=max_iterations, store=store, engine=engine
     )
@@ -153,8 +156,6 @@ def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
     # Heap-liveness facts ride the session's SCC-memoized summaries, so a
     # warm snapshot decodes exactly what the cold one computed — the
     # section is byte-stable across store warmth, hash seeds, and --jobs.
-    from repro.analysis.heap_liveness import degraded_facts
-
     try:
         liveness = analysis.heap_liveness().to_json()
     except Exception:
@@ -291,10 +292,6 @@ def snapshot_one(
     never degrades (a ``W^τ`` fallback would depend on machine load, and
     artifacts must be byte-stable).
     """
-    from repro.batch import FileReport
-    from repro.lang.parser import parse_program
-    from repro.store import AnalysisStore
-
     assert out_dir is not None and rel is not None
     try:
         program = parse_program(Path(path).read_text())
@@ -326,8 +323,6 @@ def corpus_relative(inputs, roots) -> dict[str, str]:
     relative to the first directory root containing it, else the bare file
     name.  Colliding keys are an error — two artifacts must never share a
     slot."""
-    from repro.batch import BatchInputError
-
     resolved_roots = [Path(r).resolve() for r in roots]
     rels: dict[str, str] = {}
     used: dict[str, str] = {}
@@ -373,9 +368,6 @@ def snapshot_corpus(
     leaves no artifact behind).  The tree also carries an ``_snapshot.json``
     index naming the engine and the artifact set.
     """
-    from repro.batch import collect_inputs, run_batch
-    from repro.escape.engine import default_engine, validate_engine
-
     inputs = collect_inputs(paths)
     rels = corpus_relative(inputs, paths)
     out = Path(out_dir)

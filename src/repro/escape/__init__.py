@@ -1,53 +1,35 @@
 """Escape analysis: lattices, abstract domains, exact and abstract
 semantics, the global/local escape tests, and polymorphic invariance."""
 
-from repro.escape.abstract import (
-    AbstractEvaluator,
-    FixpointTrace,
-    fingerprint,
-    sample_domain,
-)
-from repro.escape.analyzer import EscapeAnalysis, SolvedProgram
-from repro.escape.domain import (
-    BOTTOM,
-    ERR,
-    AbsFun,
-    ClosureFun,
-    ErrFun,
-    EscapeValue,
-    JoinFun,
-    PrimFun,
-    join_values,
-)
-from repro.escape.exact import (
-    DualInterpreter,
-    ObservedEscape,
-    Source,
-    exact_escape,
-    observe_escape,
-)
-from repro.escape.global_test import run_global_test
-from repro.escape.lattice import BeChain, Escapement, NONE_ESCAPES, escapes_bottom, join_all
-from repro.escape.local_test import run_local_test
-from repro.escape.poly import (
-    DEFAULT_FILLERS,
-    InvarianceReport,
-    InvarianceRow,
-    check_invariance,
-)
-from repro.escape.primitives import abstract_prim, sub_s
-from repro.escape.report import analysis_report, global_table
-from repro.escape.results import EscapeTestResult
-from repro.escape.worst import worst_fun, worst_value
+from repro import _lazy_exports
 
-__all__ = [
-    "AbstractEvaluator", "FixpointTrace", "fingerprint", "sample_domain",
-    "EscapeAnalysis", "SolvedProgram", "BOTTOM", "ERR", "AbsFun",
-    "ClosureFun", "ErrFun", "EscapeValue", "JoinFun", "PrimFun",
-    "join_values", "DualInterpreter", "ObservedEscape", "Source",
-    "exact_escape", "observe_escape", "run_global_test", "BeChain",
-    "Escapement", "NONE_ESCAPES", "escapes_bottom", "join_all",
-    "run_local_test", "DEFAULT_FILLERS", "InvarianceReport", "InvarianceRow",
-    "check_invariance", "abstract_prim", "sub_s", "analysis_report",
-    "global_table", "EscapeTestResult", "worst_fun", "worst_value",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.escape.abstract": (
+            "AbstractEvaluator", "FixpointTrace", "fingerprint", "sample_domain",
+        ),
+        "repro.escape.analyzer": ("EscapeAnalysis", "SolvedProgram"),
+        "repro.escape.domain": (
+            "BOTTOM", "ERR", "AbsFun", "ClosureFun", "ErrFun", "EscapeValue",
+            "JoinFun", "PrimFun", "join_values",
+        ),
+        "repro.escape.exact": (
+            "DualInterpreter", "ObservedEscape", "Source", "exact_escape",
+            "observe_escape",
+        ),
+        "repro.escape.global_test": ("run_global_test",),
+        "repro.escape.lattice": (
+            "BeChain", "Escapement", "NONE_ESCAPES", "escapes_bottom", "join_all",
+        ),
+        "repro.escape.local_test": ("run_local_test",),
+        "repro.escape.poly": (
+            "DEFAULT_FILLERS", "InvarianceReport", "InvarianceRow",
+            "check_invariance",
+        ),
+        "repro.escape.primitives": ("abstract_prim", "sub_s"),
+        "repro.escape.report": ("analysis_report", "global_table"),
+        "repro.escape.results": ("EscapeTestResult",),
+        "repro.escape.worst": ("worst_fun", "worst_value"),
+    },
+)

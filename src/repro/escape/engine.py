@@ -28,18 +28,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
+from repro.escape.abstract import AbstractEvaluator
+from repro.escape.worklist import WorklistEvaluator
 from repro.lang.errors import AnalysisError
+from repro.options import DEFAULT_ENGINE, ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.escape.abstract import AbstractEvaluator
     from repro.escape.lattice import BeChain
     from repro.robust.budget import BudgetMeter
-
-#: The engines the analysis core knows how to run.
-ENGINES = ("legacy", "worklist")
-
-#: The engine used when none is requested explicitly.
-DEFAULT_ENGINE = "worklist"
 
 _current_default = DEFAULT_ENGINE
 
@@ -114,9 +110,5 @@ def make_evaluator(
     ``iterates``, ``memo``, ``values_equal`` / ``value_leq``)."""
     validate_engine(engine)
     if engine == "worklist":
-        from repro.escape.worklist import WorklistEvaluator
-
         return WorklistEvaluator(chain, max_iterations=max_iterations, meter=meter)
-    from repro.escape.abstract import AbstractEvaluator
-
     return AbstractEvaluator(chain, max_iterations=max_iterations, meter=meter)

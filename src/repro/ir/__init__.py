@@ -8,17 +8,13 @@ per-instruction transitive environment-dependency sets precomputed for the
 worklist solver's change propagation (:mod:`repro.escape.worklist`).
 """
 
-from repro.ir.lower import lower_binding, lower_expr, lower_program
-from repro.ir.nodes import OPS, Block, Instr
-from repro.ir.pretty import pretty_block, pretty_blocks
+from repro import _lazy_exports
 
-__all__ = [
-    "OPS",
-    "Block",
-    "Instr",
-    "lower_binding",
-    "lower_expr",
-    "lower_program",
-    "pretty_block",
-    "pretty_blocks",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.ir.lower": ("lower_binding", "lower_expr", "lower_program"),
+        "repro.ir.nodes": ("OPS", "Block", "Instr"),
+        "repro.ir.pretty": ("pretty_block", "pretty_blocks"),
+    },
+)

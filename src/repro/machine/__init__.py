@@ -2,12 +2,14 @@
 compiler, static verifier, and the stack machine over the instrumented
 heap."""
 
-from repro.machine.compiler import compile_expr, compile_program
-from repro.machine.instructions import Code, disassemble
-from repro.machine.machine import Machine, MClosure, run_compiled
-from repro.machine.verify import verify_code, verify_program_code
+from repro import _lazy_exports
 
-__all__ = [
-    "compile_expr", "compile_program", "Code", "disassemble", "Machine",
-    "MClosure", "run_compiled", "verify_code", "verify_program_code",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.machine.compiler": ("compile_expr", "compile_program"),
+        "repro.machine.instructions": ("Code", "disassemble"),
+        "repro.machine.machine": ("Machine", "MClosure", "run_compiled"),
+        "repro.machine.verify": ("verify_code", "verify_program_code"),
+    },
+)

@@ -30,43 +30,18 @@ an exact ``total``; pass ``capacity=None`` only when a run is known to be
 short, as an unbounded buffer grows with the trace.
 """
 
-from repro.obs import context, events, explain, flight, metrics, profile, sinks
-from repro.obs.context import TraceContext, attach, current, merge_traces
-from repro.obs.events import validate_event, validate_trace, validate_trace_file
-from repro.obs.explain import Explanation, explain_binding, format_explanation
-from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import JsonlSink, MetricsSink, RingBufferSink, read_trace
-from repro.obs.tracer import Span, Tracer, activate, emit, span, tracing
+from repro import _lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "activate",
-    "emit",
-    "span",
-    "tracing",
-    "TraceContext",
-    "attach",
-    "current",
-    "merge_traces",
-    "FlightRecorder",
-    "Explanation",
-    "explain_binding",
-    "format_explanation",
-    "MetricsRegistry",
-    "JsonlSink",
-    "MetricsSink",
-    "RingBufferSink",
-    "read_trace",
-    "validate_event",
-    "validate_trace",
-    "validate_trace_file",
-    "context",
-    "events",
-    "explain",
-    "flight",
-    "metrics",
-    "profile",
-    "sinks",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.tracer": ("Tracer", "Span", "activate", "emit", "span", "tracing"),
+        "repro.obs.context": ("TraceContext", "attach", "current", "merge_traces"),
+        "repro.obs.flight": ("FlightRecorder",),
+        "repro.obs.explain": ("Explanation", "explain_binding", "format_explanation"),
+        "repro.obs.metrics": ("MetricsRegistry",),
+        "repro.obs.sinks": ("JsonlSink", "MetricsSink", "RingBufferSink", "read_trace"),
+        "repro.obs.events": ("validate_event", "validate_trace", "validate_trace_file"),
+    },
+    modules=("context", "events", "explain", "flight", "metrics", "profile", "sinks"),
+)

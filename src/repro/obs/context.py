@@ -22,8 +22,8 @@ This module deliberately does not import the tracer (the tracer imports
 from __future__ import annotations
 
 import json
+import os
 import threading
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +35,7 @@ _HEX = set("0123456789abcdef")
 
 
 def _hex_id(bits: int) -> str:
-    return uuid.uuid4().hex[: bits // 4]
+    return os.urandom(bits // 8).hex()
 
 
 def _is_hex(text: str, length: int) -> bool:

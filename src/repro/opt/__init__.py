@@ -1,33 +1,25 @@
 """Storage optimizations driven by escape analysis: in-place reuse (DCONS),
 stack allocation, and block allocation/reclamation."""
 
-from repro.opt.block_alloc import BlockAllocResult, block_allocate_producer
-from repro.opt.driver import Decision, OptimizationPlan, apply_plan, plan_optimizations
-from repro.opt.liveness import uses_var, var_used_after
-from repro.opt.pipeline import (
-    PipelineResult,
-    auto_reuse,
-    paper_block_allocated,
-    paper_ps_double_prime,
-    paper_ps_prime,
-    paper_rev_prime,
-    paper_stack_allocated,
-)
-from repro.opt.reuse import (
-    ReuseResult,
-    make_reuse_specialization,
-    redirect_body_calls,
-    redirect_calls,
-    select_reuse_sites,
-)
-from repro.opt.stack_alloc import StackAllocResult, stack_allocate_body
+from repro import _lazy_exports
 
-__all__ = [
-    "BlockAllocResult", "block_allocate_producer", "Decision",
-    "OptimizationPlan", "apply_plan", "plan_optimizations", "uses_var",
-    "var_used_after", "PipelineResult", "auto_reuse",
-    "paper_block_allocated", "paper_ps_double_prime", "paper_ps_prime",
-    "paper_rev_prime", "paper_stack_allocated", "ReuseResult",
-    "make_reuse_specialization", "redirect_body_calls", "redirect_calls",
-    "select_reuse_sites", "StackAllocResult", "stack_allocate_body",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.opt.block_alloc": ("BlockAllocResult", "block_allocate_producer"),
+        "repro.opt.driver": (
+            "Decision", "OptimizationPlan", "apply_plan", "plan_optimizations",
+        ),
+        "repro.opt.liveness": ("uses_var", "var_used_after"),
+        "repro.opt.pipeline": (
+            "PipelineResult", "auto_reuse", "paper_block_allocated",
+            "paper_ps_double_prime", "paper_ps_prime", "paper_rev_prime",
+            "paper_stack_allocated",
+        ),
+        "repro.opt.reuse": (
+            "ReuseResult", "make_reuse_specialization", "redirect_body_calls",
+            "redirect_calls", "select_reuse_sites",
+        ),
+        "repro.opt.stack_alloc": ("StackAllocResult", "stack_allocate_body"),
+    },
+)

@@ -35,7 +35,9 @@ from repro.lang.ast import (
 )
 from repro.lang.errors import NO_SPAN, AnalysisError, NmlError, OptimizationError, SourceSpan
 from repro.obs import tracer as obs
+from repro.opt.block_alloc import block_allocate_producer
 from repro.opt.reuse import make_reuse_specialization, redirect_body_calls, select_reuse_sites
+from repro.opt.stack_alloc import stack_allocate_body
 from repro.robust.errors import BudgetExceeded
 
 from typing import TYPE_CHECKING
@@ -242,8 +244,6 @@ def apply_reuse_decision(
 
 def apply_stack_decision(program: Program) -> tuple[Program, list[str]]:
     """Apply the (single) stack-allocation rewrite of the result call."""
-    from repro.opt.stack_alloc import stack_allocate_body
-
     result = stack_allocate_body(program)
     return result.program, [
         f"stack-allocated {result.annotated_sites} literal cons site(s)"
@@ -254,8 +254,6 @@ def apply_block_decision(
     program: Program, decision: Decision
 ) -> tuple[Program, list[str]]:
     """Apply one *block* decision: the producer's spine goes to a block."""
-    from repro.opt.block_alloc import block_allocate_producer
-
     result = block_allocate_producer(program, decision.function)
     return result.program, [
         f"block-allocated {decision.function} ({result.annotated_sites} site(s))"

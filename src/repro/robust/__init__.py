@@ -8,68 +8,36 @@
 * :mod:`repro.robust.resilience` — the retry/backoff, circuit-breaker and
   quarantine policy engine shared by the batch supervisor and the daemon;
 * :mod:`repro.robust.chaos`   — seeded chaos schedules and the soak
-  harness that asserts the always-answer invariant (imported lazily, like
-  ``engine``/``pipeline``, since it drives the high-level consumers);
+  harness that asserts the always-answer invariant;
 * :mod:`repro.robust.engine`  — :class:`HardenedAnalysis`, escape queries
   that degrade soundly to the ``W^τ`` worst case instead of failing;
 * :mod:`repro.robust.pipeline` — :func:`harden_optimize`, the optimization
   pipeline that always yields a correct program plus a degradation report.
 
-``engine`` and ``pipeline`` are imported lazily: the low-level modules here
-are imported *by* the analysis and runtime layers (for budget metering and
-fault hooks), so the package root must not pull the high-level wrappers —
-which import those layers — back in at import time.
+The root exports lazily, like every package root.  That matters more here
+than elsewhere: the low-level modules are imported *by* the analysis and
+runtime layers (for budget metering and fault hooks), while ``engine`` and
+``pipeline`` import those layers in turn.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.robust import faults
-from repro.robust.budget import AnalysisBudget, BudgetMeter
-from repro.robust.errors import (
-    BudgetExceeded,
-    BudgetSpent,
-    DeadlineExceeded,
-    Degradation,
-    InjectedFault,
-    IterationBudgetExceeded,
-    Severity,
-    WorkBudgetExceeded,
-    classify,
-    reason_for,
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.robust.budget": ("AnalysisBudget", "BudgetMeter"),
+        "repro.robust.errors": (
+            "BudgetExceeded", "BudgetSpent", "DeadlineExceeded", "Degradation",
+            "InjectedFault", "IterationBudgetExceeded", "Severity",
+            "WorkBudgetExceeded", "classify", "reason_for",
+        ),
+        "repro.robust.faults": ("FaultInjector", "FaultPlan", "SlowStage", "StageFault"),
+        "repro.robust.engine": ("HardenedAnalysis", "RobustResult"),
+        "repro.robust.pipeline": ("HardenedPipelineResult", "harden_optimize"),
+        "repro.robust.resilience": (
+            "CircuitBreaker", "CircuitOpen", "Outcome", "Quarantine",
+            "QuarantineEntry", "Resilience", "ResiliencePolicy", "RetryPolicy",
+        ),
+    },
+    modules=("faults",),
 )
-from repro.robust.faults import FaultInjector, FaultPlan, SlowStage, StageFault
-from repro.robust.resilience import (
-    CircuitBreaker,
-    CircuitOpen,
-    Outcome,
-    Quarantine,
-    QuarantineEntry,
-    Resilience,
-    ResiliencePolicy,
-    RetryPolicy,
-)
-
-__all__ = [
-    "AnalysisBudget", "BudgetMeter", "BudgetExceeded", "BudgetSpent",
-    "DeadlineExceeded", "Degradation", "InjectedFault",
-    "IterationBudgetExceeded", "Severity", "WorkBudgetExceeded",
-    "classify", "reason_for", "faults", "FaultInjector", "FaultPlan",
-    "StageFault",
-    # lazy:
-    "HardenedAnalysis", "RobustResult", "HardenedPipelineResult",
-    "harden_optimize",
-    "SlowStage", "CircuitBreaker", "CircuitOpen", "Outcome", "Quarantine",
-    "QuarantineEntry", "Resilience", "ResiliencePolicy", "RetryPolicy",
-]
-
-
-def __getattr__(name: str):
-    if name in ("HardenedAnalysis", "RobustResult"):
-        from repro.robust import engine
-
-        return getattr(engine, name)
-    if name in ("HardenedPipelineResult", "harden_optimize"):
-        from repro.robust import pipeline
-
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.heap_liveness import analyze_program
 from repro.lang.ast import Program
 from repro.obs import tracer as obs
 from repro.robust import faults
@@ -34,6 +35,7 @@ from repro.opt.driver import (
     apply_stack_decision,
     plan_optimizations,
 )
+from repro.semantics.interp import run_program
 
 
 @dataclass
@@ -140,15 +142,11 @@ def harden_optimize(
 
     # -- optional end-to-end validation -----------------------------------
     if validate and current is not program:
-        from repro.semantics.interp import run_program
-
         faults.check_stage("validate")
         run_kwargs: dict = {"sanitize": True}
         if collector is not None:
             run_kwargs.update(auto_gc=True, gc_threshold=64, collector=collector)
             if collector == "liveness":
-                from repro.analysis.heap_liveness import analyze_program
-
                 facts = analyze_program(current)
                 run_kwargs["liveness"] = (
                     None if facts.degraded else facts.budget_map()

@@ -1,27 +1,18 @@
 """The standard semantics substrate: instrumented heap, regions, mark-sweep
 GC, and the strict interpreter."""
 
-from repro.semantics.gc import GcStats, MarkSweepGC
-from repro.semantics.heap import AllocKind, Cell, Heap, Region
-from repro.semantics.interp import Interpreter, run_program
-from repro.semantics.metrics import StorageMetrics
-from repro.semantics.values import (
-    FALSE,
-    NIL,
-    TRUE,
-    Env,
-    Value,
-    VBool,
-    VClosure,
-    VCons,
-    VInt,
-    VNil,
-    VPrim,
-    VTuple,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GcStats", "MarkSweepGC", "AllocKind", "Cell", "Heap", "Region",
-    "Interpreter", "run_program", "StorageMetrics", "FALSE", "NIL", "TRUE",
-    "Env", "Value", "VBool", "VClosure", "VCons", "VInt", "VNil", "VPrim", "VTuple",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.semantics.gc": ("GcStats", "MarkSweepGC"),
+        "repro.semantics.heap": ("AllocKind", "Cell", "Heap", "Region"),
+        "repro.semantics.interp": ("Interpreter", "run_program"),
+        "repro.semantics.metrics": ("StorageMetrics",),
+        "repro.semantics.values": (
+            "FALSE", "NIL", "TRUE", "Env", "Value", "VBool", "VClosure",
+            "VCons", "VInt", "VNil", "VPrim", "VTuple",
+        ),
+    },
+)

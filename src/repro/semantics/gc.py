@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.obs import tracer as obs
+from repro.options import COLLECTORS
 from repro.semantics.heap import AllocKind, Cell, Heap
 from repro.semantics.values import Env, Value, VClosure, VCons, VPrim, VTuple
 
@@ -51,9 +52,6 @@ __all__ = [
     "COLLECTORS",
     "make_collector",
 ]
-
-#: Selectable collector names, in CLI `--gc` order.
-COLLECTORS = ("mark-sweep", "liveness", "copying")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from repro.robust import faults
 from repro.semantics.gc import make_collector
 from repro.semantics.heap import AllocKind, Heap, StorageSanitizer
 from repro.semantics.metrics import StorageMetrics
+from repro.semantics.prims import exec_prim
 from repro.semantics.values import (
     FALSE,
     NIL,
@@ -231,8 +232,6 @@ class Interpreter:
         )
 
     def _exec_prim(self, prim: Prim, args: tuple[Value, ...], node: App | None) -> Value:
-        from repro.semantics.prims import exec_prim
-
         return exec_prim(self.heap, prim, args, node.span if node else None)
 
     # -- Python interop -----------------------------------------------------------

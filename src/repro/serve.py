@@ -56,16 +56,33 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+# The whole handler stack is imported here, before the daemon listens, so
+# no request pays for an import and no two handler threads import the same
+# modules at once.  The checker's passes import their modules when they
+# first run, so those modules are named here.
+import repro.check.audit  # noqa: F401
+import repro.check.lint  # noqa: F401
+import repro.machine.compiler  # noqa: F401
+import repro.machine.verify  # noqa: F401
+import repro.opt.driver  # noqa: F401
+from repro.check import check_program
+from repro.escape.engine import validate_engine
+from repro.escape.report import result_dict, stats_dict
 from repro.lang.errors import NmlError
 from repro.lang.parser import parse_program
+from repro.lang.pretty import pretty_program
 from repro.obs import context as obs_context
 from repro.obs import tracer as obs
 from repro.obs.context import TraceContext
 from repro.obs.flight import FlightRecorder, dump_dir_from_env
 from repro.obs.metrics import MetricsRegistry
+from repro.options import COLLECTORS
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
+from repro.robust.engine import HardenedAnalysis
+from repro.robust.pipeline import harden_optimize
 from repro.robust.resilience import Resilience, ResiliencePolicy, RetryPolicy
+from repro.store import AnalysisStore
 
 __all__ = ["AnalysisService", "make_server", "serve"]
 
@@ -116,9 +133,6 @@ class AnalysisService:
         flight: FlightRecorder | None = None,
         collector: "str | None" = None,
     ):
-        from repro.semantics.gc import COLLECTORS
-        from repro.store import AnalysisStore
-
         self.store = AnalysisStore(store_root) if store_root else None
         self.default_deadline_ms = default_deadline_ms
         #: default collector for validated optimize requests (requests may
@@ -258,10 +272,6 @@ class AnalysisService:
         return status, doc
 
     def _do_analyze(self, program, payload: dict) -> tuple[int, dict]:
-        from repro.escape.engine import validate_engine
-        from repro.escape.report import result_dict, stats_dict
-        from repro.robust.engine import HardenedAnalysis
-
         requested = payload.get("engine")
         engine = HardenedAnalysis(
             program,
@@ -304,8 +314,6 @@ class AnalysisService:
         }
 
     def _do_check(self, program, payload: dict) -> tuple[int, dict]:
-        from repro.check import check_program
-
         passes = payload.get("passes") or None
         report = check_program(program, passes=passes, path=payload.get("path", "<serve>"))
         doc = report.to_json()
@@ -318,10 +326,6 @@ class AnalysisService:
         return 200, doc
 
     def _do_optimize(self, program, payload: dict) -> tuple[int, dict]:
-        from repro.lang.pretty import pretty_program
-        from repro.robust.pipeline import harden_optimize
-        from repro.semantics.gc import COLLECTORS
-
         collector = payload.get("gc", self.collector)
         if collector is not None and collector not in COLLECTORS:
             return 400, {

@@ -1,56 +1,28 @@
 """nml type system: monotypes, schemes, unification, HM inference, spine
 bookkeeping, and monomorphic instantiation."""
 
-from repro.types.infer import (
-    InferenceResult,
-    default_instance,
-    infer_expr,
-    infer_program,
-    prim_scheme,
-)
-from repro.types.instantiate import (
-    instantiate_scheme,
-    simplest_instance,
-    uniform_instances,
-)
-from repro.types.spines import (
-    annotate_cars,
-    argument_spines,
-    car_spine_count,
-    cons_result_spines,
-    cons_sites,
-    program_spine_bound,
-)
-from repro.types.types import (
-    BOOL,
-    INT,
-    TBool,
-    TFun,
-    TInt,
-    TList,
-    TProd,
-    TVar,
-    Type,
-    TypeScheme,
-    arity,
-    contains_function,
-    fresh_tvar,
-    free_type_vars,
-    fun_args,
-    is_list_type,
-    list_of,
-    max_spines_in,
-    spines,
-)
-from repro.types.unify import Substitution, unify
+from repro import _lazy_exports
 
-__all__ = [
-    "InferenceResult", "default_instance", "infer_expr", "infer_program",
-    "prim_scheme", "instantiate_scheme", "simplest_instance",
-    "uniform_instances", "annotate_cars", "argument_spines",
-    "car_spine_count", "cons_result_spines", "cons_sites",
-    "program_spine_bound", "BOOL", "INT", "TBool", "TFun", "TInt", "TList",
-    "TProd", "TVar", "Type", "TypeScheme", "arity", "contains_function", "fresh_tvar",
-    "free_type_vars", "fun_args", "is_list_type", "list_of", "max_spines_in",
-    "spines", "Substitution", "unify",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.types.infer": (
+            "InferenceResult", "default_instance", "infer_expr",
+            "infer_program", "prim_scheme",
+        ),
+        "repro.types.instantiate": (
+            "instantiate_scheme", "simplest_instance", "uniform_instances",
+        ),
+        "repro.types.spines": (
+            "annotate_cars", "argument_spines", "car_spine_count",
+            "cons_result_spines", "cons_sites", "program_spine_bound",
+        ),
+        "repro.types.types": (
+            "BOOL", "INT", "TBool", "TFun", "TInt", "TList", "TProd", "TVar",
+            "Type", "TypeScheme", "arity", "contains_function", "fresh_tvar",
+            "free_type_vars", "fun_args", "is_list_type", "list_of",
+            "max_spines_in", "spines",
+        ),
+        "repro.types.unify": ("Substitution", "unify"),
+    },
+)
