@@ -2,7 +2,7 @@
 through one store, under the resilience policy engine.
 
 ``repro batch <dir>`` fans the corpus across supervised worker processes.
-Each worker builds its own :class:`~repro.query.AnalysisSession` (sessions
+Each file builds its own :class:`~repro.query.AnalysisSession` (sessions
 are process-local by design), but all workers attach the same
 :class:`~repro.store.AnalysisStore`, so an SCC fixpoint solved by any
 worker — the prelude's ``append``, ``map``, ``rev`` knots recur across
@@ -13,11 +13,19 @@ inputs agree (:func:`repro.query.scc_digest`), and the store's atomic,
 content-addressed writes make concurrent workers racing on a common digest
 harmless (both write the same bytes).
 
+The driver forks at most ``jobs`` workers, each once per run, and hands
+each one file at a time over a Pipe; a fresh fork per file made a corpus
+snapshot about half again as slow.  Nothing a file does may reach the next
+file's answer: the tracer, fault plan and trace context are set up per
+file, and the type-variable counter goes back to where the fork left it,
+because snapshot scheme texts depend on it.
+
 The driver supervises rather than trusts its workers
 (:mod:`repro.robust.resilience`):
 
 * every worker attempt gets a **per-file wall-clock timeout**
-  (``timeout_s``); a hung worker is terminated and replaced;
+  (``timeout_s``, counted from dispatch); a hung worker is terminated
+  and replaced;
 * a **crashed** worker (hard exit, broken pipe) is restarted with
   exponential backoff and deterministic jitter
   (:class:`~repro.robust.resilience.RetryPolicy`);
@@ -44,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,7 +87,7 @@ from repro.robust.errors import reason_for
 from repro.robust.resilience import Quarantine, RetryPolicy
 from repro.semantics.interp import Interpreter
 from repro.store import AnalysisStore
-from repro.types.types import arity
+from repro.types.types import arity, reset_fresh_tvars
 
 #: Exit code a worker process dies with under an injected crash fault.
 WORKER_CRASH_EXIT = 23
@@ -548,8 +557,9 @@ def _worker_faults_for(plan, launch: int):
     """The supervisor-side interpretation of worker-stage faults for the
     ``launch``-th worker attempt (1-based, across the whole run): returns
     ``(crash, hang_s, child_plan)``.  Worker-stage ordinals must be
-    counted by the supervisor — each attempt is a fresh process with fresh
-    counters — so they are stripped from the plan the child activates."""
+    counted by the supervisor — a worker activates the plan afresh for
+    each attempt, and a replaced worker starts from nothing — so they are
+    stripped from the plan the worker activates."""
     if plan is None:
         return False, 0.0, None
     crash = plan.worker_crash_at == launch
@@ -565,30 +575,57 @@ def _worker_faults_for(plan, launch: int):
     return crash, hang_s, child_plan
 
 
-def _worker_main(
+def _worker_loop(conn, worker, supervisor_ends: list) -> None:
+    """Worker-process entry: answer one file per message until the
+    supervisor sends ``None`` or goes away.
+
+    ``supervisor_ends`` are the supervisor's ends of this worker's Pipe and
+    of its peers' Pipes, which the fork copied in; closing them lets this
+    worker see end-of-file if the supervisor dies.  Before each file the
+    type-variable counter goes back to where the fork left it, so every
+    file is analyzed as if by a freshly forked worker.
+    """
+    # Under a fork start method the child inherits the driver's active
+    # tracer — and with it the driver's open trace file.  Events must go
+    # to per-attempt shards, never interleave into the parent's.
+    obs._active = None
+    # Ctrl-C reaches the whole process group; the supervisor handles it
+    # and stops its workers, idle ones included.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in supervisor_ends:
+        end.close()
+    first_tvar = reset_fresh_tvars()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        reset_fresh_tvars(first_tvar)
+        _answer(conn, worker, *message)
+
+
+def _answer(
+    conn,
+    worker,
     args: tuple,
     plan,
     crash: bool,
     hang_s: float,
-    conn,
-    ctx_wire: "dict | None" = None,
-    shard_path: "str | None" = None,
-    worker=None,
+    ctx_wire: "dict | None",
+    shard_path: "str | None",
+    launch: int,
 ) -> None:
-    """Worker-process entry: activate the (stripped) fault plan, honour the
+    """One worker attempt: activate the (stripped) fault plan, honour the
     supervisor's crash/hang verdicts, analyze, ship the report back.
 
     ``ctx_wire`` is the file's trace context carried across the Pipe — the
     driver's hop, which the worker re-attaches so every event it emits
     (``transfer_eval``, ``worklist_*``, ``degradation``, ...) is stamped
-    with the originating trace_id.  ``shard_path`` names the worker's own
+    with the originating trace_id.  ``shard_path`` names the attempt's own
     JSONL shard; the driver merges shards after the run.
     """
-    # Under a fork start method the child inherits the driver's active
-    # tracer — and with it the driver's open trace file.  Events must go
-    # to this worker's own shard, never interleave into the parent's.
-    obs._active = None
-
     ctx = TraceContext.from_wire(ctx_wire)
     with contextlib.ExitStack() as stack:
         sinks: list = []
@@ -600,7 +637,8 @@ def _worker_main(
         if flight_dir is not None:
             sinks.append(
                 FlightRecorder(
-                    dump_dir=flight_dir, label=f"worker-flight-{os.getpid()}"
+                    dump_dir=flight_dir,
+                    label=f"worker-flight-{os.getpid()}-{launch:04d}",
                 )
             )
         if sinks:
@@ -620,7 +658,7 @@ def _worker_main(
             if ctx is not None:
                 report.trace_id = ctx.trace_id
             conn.send(report)
-        except BaseException as error:  # answer even on unexpected worker errors
+        except Exception as error:  # answer even on unexpected worker errors
             with contextlib.suppress(Exception):
                 conn.send(
                     FileReport(
@@ -630,17 +668,27 @@ def _worker_main(
                         trace_id=ctx.trace_id if ctx is not None else "",
                     )
                 )
-        finally:
-            with contextlib.suppress(Exception):
-                conn.close()
 
 
-@dataclass
-class _Running:
-    task: _Task
+@dataclass(eq=False)
+class _Worker:
+    """A long-lived worker process and the attempt it is running, if any."""
+
     process: object
     conn: object
-    deadline: float | None
+    task: "_Task | None" = None
+    deadline: "float | None" = None
+
+
+def _stop(worker: _Worker, kill: bool) -> None:
+    """Reap ``worker`` (terminating it first when ``kill``) and close its Pipe."""
+    if kill:
+        worker.process.terminate()
+    worker.process.join(5.0)
+    if worker.process.is_alive():  # pragma: no cover - hard kill path
+        worker.process.kill()
+        worker.process.join()
+    worker.conn.close()
 
 
 def _run_supervised(
@@ -654,8 +702,15 @@ def _run_supervised(
     trace_dir: "str | None" = None,
     worker=None,
 ) -> list[FileReport]:
-    """Process-per-attempt supervision: per-file preemptive timeouts,
-    crash replacement with backoff, quarantine after exhausted attempts.
+    """Supervision over at most ``jobs`` long-lived workers: per-file
+    preemptive timeouts, crash replacement with backoff, quarantine after
+    exhausted attempts.
+
+    A worker is forked when there is a file for it and fewer than ``jobs``
+    workers are alive, and then answers one file per message.  It is
+    replaced only when it dies or overruns a file's deadline (which runs
+    from dispatch); every worker is shut down and reaped before this
+    returns.
 
     With ``contexts`` (one root :class:`TraceContext` per file), every
     worker attempt runs a child hop of its file's trace, and supervisor
@@ -669,7 +724,7 @@ def _run_supervised(
         for i, args in enumerate(work)
     )
     waiting: list[tuple[float, _Task]] = []  # (ready_at, task) backoff bench
-    running: dict[object, _Running] = {}  # sentinel -> running attempt
+    workers: list[_Worker] = []
     reports: dict[int, FileReport] = {}
     launches = 0
 
@@ -701,103 +756,121 @@ def _run_supervised(
                 )
             reports[task.index] = _quarantined_report(task, cause_kind)
 
-    while tasks or waiting or running:
-        now = time.monotonic()
-        # Backoff bench → ready queue.
-        ripe = [entry for entry in waiting if entry[0] <= now]
-        for entry in ripe:
-            waiting.remove(entry)
-            tasks.append(entry[1])
-        # Launch up to ``jobs`` workers.
-        while tasks and len(running) < jobs:
-            task = tasks.popleft()
-            launches += 1
-            task.attempts += 1
-            crash, hang_s, child_plan = _worker_faults_for(plan, launches)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            child_ctx = task.ctx.child() if task.ctx is not None else None
-            shard_path = (
-                os.path.join(trace_dir, f"worker-{launches:04d}.jsonl")
-                if trace_dir is not None
-                else None
-            )
-            process = ctx.Process(
-                target=_worker_main,
-                args=(
-                    task.args,
-                    child_plan,
-                    crash,
-                    hang_s,
-                    child_conn,
-                    child_ctx.to_wire() if child_ctx is not None else None,
-                    shard_path,
-                    worker,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            deadline = now + timeout_s if timeout_s is not None else None
-            running[process.sentinel] = _Running(task, process, parent_conn, deadline)
-        if not running:
-            # Everything is on the backoff bench: sleep to the next ready.
-            if waiting:
-                time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
-            continue
-        # Wait for a worker to finish, a deadline to pass, or a bench slot.
-        wait_until = [d for r in running.values() if (d := r.deadline) is not None]
-        wait_until += [t for t, _ in waiting]
-        timeout = max(0.0, min(wait_until) - time.monotonic()) if wait_until else None
-        done = connection_wait(list(running), timeout=timeout)
-        now = time.monotonic()
-        for sentinel in done:
-            run = running.pop(sentinel)
-            run.process.join()
-            report: FileReport | None = None
-            if run.conn.poll():
-                with contextlib.suppress(EOFError, OSError):
-                    report = run.conn.recv()
-            run.conn.close()
-            if report is not None:
-                report.attempts = run.task.attempts
-                reports[run.task.index] = report
-            else:  # died without an answer: crashed
-                exitcode = run.process.exitcode
-                with stamped(run.task):
+    def fork() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_loop,
+            args=(child_conn, worker, [w.conn for w in workers] + [parent_conn]),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        workers.append(_Worker(process, parent_conn))
+        return workers[-1]
+
+    def replace(run: _Worker, kill: bool) -> _Task:
+        workers.remove(run)
+        _stop(run, kill)
+        task, run.task = run.task, None
+        return task
+
+    try:
+        while tasks or waiting or any(w.task is not None for w in workers):
+            now = time.monotonic()
+            # Backoff bench → ready queue.
+            ripe = [entry for entry in waiting if entry[0] <= now]
+            for entry in ripe:
+                waiting.remove(entry)
+                tasks.append(entry[1])
+            # Dispatch to idle workers, forking up to ``jobs`` of them.
+            while tasks:
+                run = next((w for w in workers if w.task is None), None)
+                if run is None:
+                    if len(workers) >= jobs:
+                        break
+                    run = fork()
+                task = tasks.popleft()
+                launches += 1
+                task.attempts += 1
+                crash, hang_s, child_plan = _worker_faults_for(plan, launches)
+                wire = task.ctx.child().to_wire() if task.ctx is not None else None
+                shard_path = (
+                    os.path.join(trace_dir, f"worker-{launches:04d}.jsonl")
+                    if trace_dir is not None
+                    else None
+                )
+                run.task = task
+                run.deadline = now + timeout_s if timeout_s is not None else None
+                message = (
+                    task.args, child_plan, crash, hang_s, wire, shard_path, launches
+                )
+                # A worker that died while idle fails this send or the next
+                # wait; either way the attempt is handled as a crash below.
+                with contextlib.suppress(OSError):
+                    run.conn.send(message)
+            busy = [w for w in workers if w.task is not None]
+            if not busy:
+                # Everything is on the backoff bench: sleep to the next ready.
+                if waiting:
+                    time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
+                continue
+            # Wait for an answer, a death, a deadline to pass, or a bench slot.
+            wait_until = [d for w in busy if (d := w.deadline) is not None]
+            wait_until += [t for t, _ in waiting]
+            timeout = max(0.0, min(wait_until) - time.monotonic()) if wait_until else None
+            handles = {w.conn: w for w in busy}
+            handles.update({w.process.sentinel: w for w in busy})
+            ready = connection_wait(list(handles), timeout=timeout)
+            now = time.monotonic()
+            for run in dict.fromkeys(handles[h] for h in ready):
+                report: FileReport | None = None
+                if run.conn.poll():
+                    with contextlib.suppress(EOFError, OSError):
+                        report = run.conn.recv()
+                if report is not None:
+                    report.attempts = run.task.attempts
+                    reports[run.task.index] = report
+                    run.task = None
+                    continue
+                # Died without an answer: crashed.
+                task = replace(run, kill=False)
+                with stamped(task):
                     obs.emit(
                         "worker_restart",
-                        key=run.task.path,
-                        attempt=run.task.attempts,
+                        key=task.path,
+                        attempt=task.attempts,
                         cause="worker-crashed",
                     )
                 fail(
-                    run.task,
+                    task,
                     "worker-crashed",
-                    f"worker crashed (exit code {exitcode})",
+                    f"worker crashed (exit code {run.process.exitcode})",
                 )
-        # Preempt the hung.
-        for sentinel, run in list(running.items()):
-            if run.deadline is not None and now >= run.deadline:
-                running.pop(sentinel)
-                run.process.terminate()
-                run.process.join(5.0)
-                if run.process.is_alive():  # pragma: no cover - hard kill path
-                    run.process.kill()
-                    run.process.join()
-                run.conn.close()
-                with stamped(run.task):
-                    obs.emit("timeout", key=run.task.path, deadline_s=timeout_s)
+            # Preempt the hung.
+            for run in busy:
+                if run.task is None or run.deadline is None or now < run.deadline:
+                    continue
+                task = replace(run, kill=True)
+                with stamped(task):
+                    obs.emit("timeout", key=task.path, deadline_s=timeout_s)
                     obs.emit(
                         "worker_restart",
-                        key=run.task.path,
-                        attempt=run.task.attempts,
+                        key=task.path,
+                        attempt=task.attempts,
                         cause="timeout",
                     )
                 fail(
-                    run.task,
+                    task,
                     "timeout",
                     f"worker timed out after {timeout_s:g}s",
                 )
+    finally:
+        for run in workers:
+            if run.task is None:
+                with contextlib.suppress(OSError):
+                    run.conn.send(None)
+        for run in workers:
+            _stop(run, kill=run.task is not None)
     return [reports[i] for i in sorted(reports)]
 
 
@@ -903,7 +976,7 @@ def run_batch(
     With ``trace`` (or a ``trace_dir``), every file gets its own root
     :class:`TraceContext`; driver- and worker-side events about a file
     are stamped with its trace_id, and supervised worker attempts write
-    per-process JSONL shards into ``trace_dir`` for the driver to merge.
+    per-attempt JSONL shards into ``trace_dir`` for the driver to merge.
     """
     inputs = collect_inputs(paths)
     root = str(store_root) if store_root is not None else None

@@ -24,6 +24,21 @@ over a generated corpus.
 
 from repro import _lazy_exports
 
+# The artifact format lives here, not in ``repro.diff.snapshot``, so that
+# ``repro.diff.compare`` can read it without loading the analysis stack
+# the snapshot module preloads for its workers.
+
+#: Bumped whenever the artifact layout changes incompatibly; compare
+#: refuses to pair artifacts across schema versions.
+#: 2: artifacts carry a canonical per-binding heap-liveness section.
+ARTIFACT_SCHEMA = 2
+
+#: The snapshot tree's index file (not a per-file artifact).
+INDEX_NAME = "_snapshot.json"
+
+#: Per-file artifacts are ``<corpus-relative path> + ARTIFACT_SUFFIX``.
+ARTIFACT_SUFFIX = ".json"
+
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {

@@ -29,9 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.diff import ARTIFACT_SCHEMA, ARTIFACT_SUFFIX, INDEX_NAME
 from repro.escape.lattice import Escapement
-
-from repro.diff.snapshot import ARTIFACT_SCHEMA, ARTIFACT_SUFFIX, INDEX_NAME
 
 #: Category names, in reporting order.  ``*_head``/``new``/``lost``/
 #: ``weakened`` lean regression; the rest are churn.

@@ -45,6 +45,7 @@ from repro.analysis.heap_liveness import degraded_facts
 from repro.batch import BatchInputError, FileReport, collect_inputs, run_batch
 from repro.canonical import canonical_bytes, canonical_dumps
 from repro.check import check_program
+from repro.diff import ARTIFACT_SCHEMA, ARTIFACT_SUFFIX, INDEX_NAME
 from repro.escape.abstract import fingerprint
 from repro.escape.analyzer import EscapeAnalysis
 from repro.escape.engine import default_engine, validate_engine
@@ -57,17 +58,6 @@ from repro.query import DIGEST_VERSION
 from repro.store import AnalysisStore
 from repro.types.types import TFun, TList, TProd, TVar, TypeScheme, apply_subst, arity
 
-#: Bumped whenever the artifact layout changes incompatibly; compare
-#: refuses to pair artifacts across schema versions.
-#: 2: artifacts carry a canonical per-binding heap-liveness section.
-ARTIFACT_SCHEMA = 2
-
-#: The snapshot tree's index file (not a per-file artifact).
-INDEX_NAME = "_snapshot.json"
-
-#: Per-file artifacts are ``<corpus-relative path> + ARTIFACT_SUFFIX``.
-ARTIFACT_SUFFIX = ".json"
-
 
 def _span_text(span) -> "str | None":
     return None if span == NO_SPAN else str(span)
@@ -78,7 +68,12 @@ def _scheme_text(scheme) -> str:
     occurrence in the body — ``str(scheme)`` would leak the process-global
     fresh-variable counter into artifacts (same program, different bytes
     per run), the exact instability :func:`repro.types.types
-    .type_fingerprint` exists to kill for cache keys."""
+    .type_fingerprint` exists to kill for cache keys.
+
+    Known bug: :func:`apply_subst` follows chains, so when the scheme's own
+    ids are small a renumbered variable is renamed again (``t3 ↦ t2 ↦ t1``)
+    and two variables print as one; a strict xfail in ``tests/test_diff.py``
+    holds the intended text until the golden snapshot digest is renewed."""
     names: dict[TVar, TVar] = {}
 
     def collect(t) -> None:

@@ -53,6 +53,19 @@ def fresh_tvar() -> TVar:
     return TVar(next(_tvar_counter))
 
 
+def reset_fresh_tvars(next_id: "int | None" = None) -> int:
+    """Make :func:`fresh_tvar` hand out ``next_id`` next (by default the id
+    it would hand out anyway); returns the id it would have handed out.
+
+    A long-lived batch worker calls this before each file to restart from
+    the id it was forked with, so no file sees how many variables earlier
+    files used: snapshot scheme texts depend on the starting id."""
+    global _tvar_counter
+    current = next(_tvar_counter)
+    _tvar_counter = itertools.count(current if next_id is None else next_id)
+    return current
+
+
 @dataclass(frozen=True)
 class TList(Type):
     element: Type

@@ -1,10 +1,18 @@
 """The parallel batch driver (:mod:`repro.batch`) and its ``repro batch``
 CLI: corpus collection, serial and process-parallel runs through a shared
-store, warm-run accounting, and error containment."""
+store, warm-run accounting, error containment, and the long-lived worker
+pool."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +359,221 @@ class TestLegacyDeprecationWarning:
     def test_worklist_engine_does_not_warn(self, corpus, capfd):
         assert main(["batch", str(corpus), "--no-store", "--engine", "worklist"]) == 0
         assert "deprecated" not in capfd.readouterr().err
+
+
+def pid_worker(*args) -> FileReport:
+    """:func:`analyze_one`, plus the pid of the process that answered."""
+    report = analyze_one(*args)
+    report.stats["pid"] = os.getpid()
+    return report
+
+
+@pytest.fixture
+def wide_corpus(tmp_path):
+    root = tmp_path / "wide"
+    root.mkdir()
+    for i in range(6):
+        (root / f"f{i}.nml").write_text(prelude_source(["append"], f"append [{i}] [3]"))
+    return root
+
+
+def _pids(report: BatchReport) -> set[int]:
+    return {r.stats["pid"] for r in report.reports}
+
+
+class TestWorkerPool:
+    """``jobs`` long-lived workers answer the whole corpus; a worker is
+    replaced only when it crashes or overruns a deadline."""
+
+    RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, seed=1)
+
+    def test_clean_run_is_answered_by_jobs_workers(self, wide_corpus):
+        report = run_batch([wide_corpus], jobs=2, worker=pid_worker)
+        assert report.ok
+        assert len(_pids(report)) == 2
+        assert os.getpid() not in _pids(report)
+        assert all(r.attempts == 1 for r in report.reports)
+
+    @pytest.mark.parametrize("crash_at, answering", [(1, 2), (3, 3)])
+    def test_crash_replaces_only_the_crashed_worker(
+        self, wide_corpus, crash_at, answering
+    ):
+        # Dispatch follows corpus order, so launch n carries file n - 1.
+        # The worker that dies on launch 1 never answered; the one that
+        # dies on launch 3 answered a file first.  Either way exactly one
+        # replacement is forked and answers.
+        report = run_batch(
+            [wide_corpus],
+            jobs=2,
+            retry=self.RETRY,
+            fault_plan=FaultPlan(worker_crash_at=crash_at),
+            worker=pid_worker,
+        )
+        assert report.ok
+        assert len(_pids(report)) == answering
+        assert [r.attempts for r in report.reports] == [
+            2 if i == crash_at - 1 else 1 for i in range(6)
+        ]
+
+    def test_timeout_retries_only_the_hung_file(self, wide_corpus):
+        # Launch 1 hangs; every later attempt takes 0.3 s, so when the hung
+        # worker is killed at 1 s its peer is in the middle of a file.
+        ring = RingBufferSink(capacity=None)
+        plan = FaultPlan(
+            slow_stages=(
+                SlowStage("worker", at=1, seconds=10.0),
+                SlowStage("worker", at=2, every=1, seconds=0.3),
+            )
+        )
+        with activate(Tracer(sinks=[ring])):
+            report = run_batch(
+                [wide_corpus],
+                jobs=2,
+                timeout_s=1.0,
+                retry=self.RETRY,
+                fault_plan=plan,
+                worker=pid_worker,
+            )
+        assert report.ok
+        assert [r.attempts for r in report.reports] == [2, 1, 1, 1, 1, 1]
+        restarts = [e for e in ring.events if e["type"] == "worker_restart"]
+        assert [(e["cause"], e["key"]) for e in restarts] == [
+            ("timeout", report.reports[0].path)
+        ]
+
+    @pytest.mark.parametrize(
+        "plan, timeout_s",
+        [
+            (None, None),
+            (FaultPlan(worker_crash_at=2), 5.0),
+            (FaultPlan(slow_stages=(SlowStage("worker", at=1, every=1, seconds=10.0),)), 0.25),
+        ],
+        ids=["clean", "crash", "quarantine"],
+    )
+    def test_no_worker_outlives_the_run(self, corpus, plan, timeout_s):
+        retry = RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.02, seed=1)
+        report = run_batch(
+            [corpus], jobs=2, timeout_s=timeout_s, retry=retry, fault_plan=plan
+        )
+        assert report.answered
+        assert multiprocessing.active_children() == []
+
+
+def _state(pid: int) -> str:
+    """The process state letter from ``/proc/PID/stat`` ("" once reaped)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return ""
+
+
+def _children(ppid: int) -> list[int]:
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == ppid and fields[0] != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+_DRIVER = """
+import sys
+from repro.batch import run_batch
+from repro.robust.faults import FaultPlan, SlowStage
+
+plan = FaultPlan(slow_stages=(SlowStage("worker", at=1, every=1, seconds=0.5),))
+run_batch([sys.argv[1]], jobs=2, fault_plan=plan)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_exit_when_the_driver_is_killed(wide_corpus):
+    """A worker blocked on its Pipe sees end-of-file once the driver is
+    gone, because no process but the driver holds the driver's ends."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _DRIVER, str(wide_corpus)], cwd=root, env=env
+    )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert driver.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+            workers = _children(driver.pid)
+        driver.kill()
+        driver.wait(30)
+        deadline = time.monotonic() + 30
+        while any(_state(pid) not in ("", "Z") for pid in workers):
+            assert time.monotonic() < deadline, "workers outlived their driver"
+            time.sleep(0.05)
+    finally:
+        driver.kill()
+        driver.wait(30)
+        for pid in workers:
+            if _state(pid) not in ("", "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+
+_ONE_WORKER = """
+import json, os, sys
+
+import repro.diff.snapshot as snapshot
+
+original = snapshot.snapshot_one
+
+
+def pid_snapshot(*args):
+    report = original(*args)
+    report.stats["pid"] = os.getpid()
+    return report
+
+
+snapshot.snapshot_one = pid_snapshot
+corpus, out = sys.argv[1:]
+one = snapshot.snapshot_corpus([corpus], out + "/one", jobs=1, timeout_s=60)
+three = snapshot.snapshot_corpus([corpus], out + "/three", jobs=3)
+print(json.dumps({
+    "ok": one.ok and three.ok,
+    "pids": len({r.stats["pid"] for r in one.reports}),
+    "one": snapshot.tree_digest(out + "/one"),
+    "three": snapshot.tree_digest(out + "/three"),
+}))
+"""
+
+
+def test_one_worker_writes_what_three_write(tmp_path):
+    """A worker's earlier files must not change a later file's artifact.
+
+    Scheme texts depend on the type-variable counter a file starts from,
+    so a worker restores the counter it was forked with before each file.
+    ``gen-0004.nml`` renders differently from a low and a high counter;
+    it is second in the corpus, so one worker reaches it with the counter
+    ``gen-0003.nml`` advanced, while one of three workers starts on it.
+    The run is a fresh interpreter, whose counter is low at fork time, as
+    in ``repro diff snapshot``."""
+    root = Path(__file__).resolve().parents[1]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("gen-0003.nml", "gen-0004.nml", "gen-0005.nml"):
+        source = root / "examples" / "generated" / name
+        (corpus / name).write_text(source.read_text())
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("REPRO_FLIGHT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_WORKER, str(corpus), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["ok"]
+    assert doc["pids"] == 1
+    assert doc["one"] == doc["three"]

@@ -18,6 +18,7 @@ from repro.diff.compare import (
     compare_trees,
 )
 from repro.diff.snapshot import (
+    _scheme_text,
     snapshot_corpus,
     snapshot_program,
     tree_digest,
@@ -26,6 +27,7 @@ from repro.diff.snapshot import (
 from repro.lang.parser import parse_program
 from repro.lang.prelude import prelude_source
 from repro.robust.faults import FaultPlan
+from repro.types.types import TFun, TList, TVar, TypeScheme
 
 APPEND = prelude_source(["append"], "append [1, 2] [3]")
 
@@ -104,6 +106,21 @@ class TestSnapshotArtifacts:
         index = json.loads((out / "_snapshot.json").read_text())
         assert "bad.nml" in index["failed"]
         assert "bad.nml" in index["files"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known bug: _scheme_text renumbers through apply_subst, which "
+            "follows chains (t3 -> t2 -> t1); fixing it changes the golden "
+            "tree_digest in benchmarks/perf/expected.json, so the fix waits "
+            "for a benchmark change that regenerates that golden"
+        ),
+    )
+    def test_scheme_text_keeps_distinct_variables_distinct(self):
+        # ``f l = nil`` in examples/generated/gen-0004.nml, inferred from a
+        # low type-variable counter.
+        scheme = TypeScheme((TVar(2), TVar(3)), TFun(TVar(2), TList(TVar(3))))
+        assert _scheme_text(scheme) == "forall t1 t2. t1 -> t2 list"
 
     def test_artifact_path_collision_is_rejected(self, corpus, tmp_path):
         from repro.batch import BatchInputError

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,26 @@ def test_analyze_json_loads_no_runtime_optimizer_or_checker():
     modules = _last_json(_python(_CLI, "analyze", PROGRAM, "--json"))
     assert "repro.escape.analyzer" in modules
     heavy = ("repro.semantics.heap", "repro.machine", "repro.opt", "repro.check")
+    assert _under(modules, heavy) == []
+
+
+def test_diff_compare_loads_no_analysis(tmp_path):
+    """Comparing artifact trees reads JSON; it needs no analysis stack."""
+    from repro.diff.snapshot import snapshot_corpus
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(ROOT / PROGRAM, corpus)
+    snapshot_corpus([corpus], tmp_path / "base")
+    shutil.copytree(tmp_path / "base", tmp_path / "head")
+    modules = _last_json(
+        _python(_CLI, "diff", "compare", str(tmp_path / "base"), str(tmp_path / "head"))
+    )
+    assert "repro.diff.compare" in modules
+    heavy = (
+        "repro.query", "repro.types", "repro.check", "repro.opt",
+        "repro.machine", "repro.batch", "repro.store",
+    )
     assert _under(modules, heavy) == []
 
 
