@@ -433,7 +433,9 @@ def analyze_one(
     """
     try:
         program = parse_program(Path(path).read_text())
-        store = AnalysisStore(store_root) if store_root else None
+        # run_batch swept the store's stale temp files once, before any
+        # worker started.
+        store = AnalysisStore(store_root, reap=False) if store_root else None
         if deadline_ms is not None:
             report = _analyze_hardened(
                 path, program, store, d, max_iterations, deadline_ms, engine
@@ -980,6 +982,9 @@ def run_batch(
     """
     inputs = collect_inputs(paths)
     root = str(store_root) if store_root is not None else None
+    if root:
+        # Sweep stale temp files once per run; workers open with reap=False.
+        AnalysisStore(root)
     retry = retry or DEFAULT_RETRY
     quarantine = Quarantine()
     # Resolve the engine here: worker processes start fresh and would not

@@ -21,7 +21,7 @@ rules fired where and how long each pass took.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.check.diagnostics import (
     REGISTRY,
@@ -34,6 +34,9 @@ from repro.check.diagnostics import (
 )
 from repro.lang.ast import Program
 from repro.obs import tracer as obs
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.query import AnalysisSession
 
 __all__ = [
     "REGISTRY",
@@ -56,27 +59,29 @@ CHK001 = rule(
 )
 
 
-def _run_lint(program: Program) -> list[Diagnostic]:
+def _run_lint(program: Program, session=None) -> list[Diagnostic]:
     from repro.check.lint import lint_program
 
     return lint_program(program)
 
 
-def _run_audit(program: Program) -> list[Diagnostic]:
+def _run_audit(program: Program, session=None) -> list[Diagnostic]:
     from repro.check.audit import audit_program
 
-    return audit_program(program)
+    return audit_program(program, session=session)
 
 
-def _run_machine(program: Program) -> list[Diagnostic]:
+def _run_machine(program: Program, session=None) -> list[Diagnostic]:
     from repro.machine.compiler import compile_program
     from repro.machine.verify import verify_program_code
 
     return verify_program_code(compile_program(program))
 
 
-#: Pass name -> pass body, in execution order.
-CHECK_PASSES: dict[str, Callable[[Program], list[Diagnostic]]] = {
+#: Pass name -> pass body, in execution order.  A body is called with the
+#: program alone, or with the program and the analysis session passed to
+#: :func:`check_program` when there is one.
+CHECK_PASSES: dict[str, Callable[..., list[Diagnostic]]] = {
     "lint": _run_lint,
     "audit": _run_audit,
     "machine": _run_machine,
@@ -99,8 +104,13 @@ def check_program(
     program: Program,
     passes: "Iterable[str] | None" = None,
     path: str = "",
+    session: "AnalysisSession | None" = None,
 ) -> CheckReport:
-    """Run the selected passes (all three by default) over ``program``."""
+    """Run the selected passes (all three by default) over ``program``.
+
+    ``session`` (from :mod:`repro.query`) lets the audit share that
+    session's caches: it still builds and analyzes its own dcons-erased
+    program, through a session derived from this one."""
     report = CheckReport(path=path)
     selected = list(passes) if passes is not None else list(CHECK_PASSES)
     for name in selected:
@@ -112,7 +122,7 @@ def check_program(
         started = time.perf_counter()
         with obs.span(f"check:{name}"):
             try:
-                found = body(program)
+                found = body(program) if session is None else body(program, session)
             except Exception as error:  # contained: a crash is a finding
                 report.pass_errors[name] = f"{type(error).__name__}: {error}"
                 report.add(

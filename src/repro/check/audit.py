@@ -43,6 +43,11 @@ from repro.lang.ast import (
 from repro.lang.errors import AnalysisError, NmlError
 from repro.opt.liveness import var_used_after
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.query import AnalysisSession
+
 AUD001 = rule(
     "AUD001",
     "dcons-donor-not-variable",
@@ -190,10 +195,21 @@ def _erase_dcons(program: Program) -> Program:
     return Program(letrec=letrec, source=program.source)  # type: ignore[arg-type]
 
 
-def audit_program(program: Program) -> list[Diagnostic]:
+def audit_program(
+    program: Program, session: "AnalysisSession | None" = None
+) -> list[Diagnostic]:
+    """Every finding against ``program``'s storage footprints.
+
+    The facts come from the dcons-erased program, analyzed afresh or —
+    given ``session`` — through a session derived from it, which answers
+    from the shared caches only the questions whose inputs fingerprint
+    identically (a transform bug changes the program, hence the keys)."""
     out: list[Diagnostic] = []
     erased = _erase_dcons(program)
-    analysis = EscapeAnalysis(erased)
+    if session is None:
+        analysis = EscapeAnalysis(erased)
+    else:
+        analysis = EscapeAnalysis(erased, session=session.derive(erased))
 
     #: function -> donor parameter names with at least one dcons site
     donors_by_function: dict[str, set[str]] = {}

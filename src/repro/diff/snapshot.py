@@ -156,9 +156,12 @@ def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
     except Exception:
         liveness = degraded_facts(program, cap=solved.d + 1).to_json()
 
+    # One session per file: the rewrites and the audit ask their questions
+    # through sessions derived from the planner's, so every fact whose
+    # inputs fingerprint identically is a cache (or store) hit.
     plan = plan_optimizations(program, session=analysis.session)
-    optimized, steps = apply_plan(plan)
-    report = check_program(optimized, path=rel)
+    optimized, steps = apply_plan(plan, session=analysis.session)
+    report = check_program(optimized, path=rel, session=analysis.session)
 
     # Audit certification: a reuse decision stands only if the independent
     # auditor found no error-severity fact against its specialization
@@ -290,7 +293,9 @@ def snapshot_one(
     assert out_dir is not None and rel is not None
     try:
         program = parse_program(Path(path).read_text())
-        store = AnalysisStore(store_root) if store_root else None
+        # run_batch swept the store's stale temp files once, before any
+        # worker started.
+        store = AnalysisStore(store_root, reap=False) if store_root else None
         document = snapshot_program(
             program, rel, store=store, engine=engine, d=d,
             max_iterations=max_iterations,

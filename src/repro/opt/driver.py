@@ -215,16 +215,37 @@ def _plan_optimizations(
     return plan
 
 
+def _analysis_for(
+    program: Program, session: "AnalysisSession | None"
+) -> "EscapeAnalysis | None":
+    """The facade a rewrite of ``program`` asks its escape facts through:
+    a session derived from ``session``, or ``None`` (the rewrite then
+    builds a fresh analysis of its own)."""
+    if session is None:
+        return None
+    return EscapeAnalysis(program, session=session.derive(program))
+
+
 def apply_reuse_decision(
-    program: Program, decision: Decision
+    program: Program,
+    decision: Decision,
+    session: "AnalysisSession | None" = None,
 ) -> tuple[Program, list[str]]:
     """Apply one *reuse* decision: add the specialization and, when the
     result call's actual argument is a literal (fresh, therefore unshared),
     redirect the body to it.  Raises ``OptimizationError`` if inapplicable;
     the input program is returned unchanged on failure paths above this
-    call because every transformation builds a fresh program."""
+    call because every transformation builds a fresh program.
+
+    ``session`` lets the escape gate reuse that session's caches through a
+    derived session (:meth:`repro.query.AnalysisSession.derive`)."""
     log: list[str] = []
-    result = make_reuse_specialization(program, decision.function, decision.param_index)
+    result = make_reuse_specialization(
+        program,
+        decision.function,
+        decision.param_index,
+        analysis=_analysis_for(program, session),
+    )
     program = result.program
     log.append(f"added {result.new_name} ({result.rewritten_sites} DCONS site(s))")
     head, args = uncurry_app(program.body)
@@ -242,35 +263,48 @@ def apply_reuse_decision(
     return program, log
 
 
-def apply_stack_decision(program: Program) -> tuple[Program, list[str]]:
+def apply_stack_decision(
+    program: Program, session: "AnalysisSession | None" = None
+) -> tuple[Program, list[str]]:
     """Apply the (single) stack-allocation rewrite of the result call."""
-    result = stack_allocate_body(program)
+    result = stack_allocate_body(program, analysis=_analysis_for(program, session))
     return result.program, [
         f"stack-allocated {result.annotated_sites} literal cons site(s)"
     ]
 
 
 def apply_block_decision(
-    program: Program, decision: Decision
+    program: Program,
+    decision: Decision,
+    session: "AnalysisSession | None" = None,
 ) -> tuple[Program, list[str]]:
     """Apply one *block* decision: the producer's spine goes to a block."""
-    result = block_allocate_producer(program, decision.function)
+    result = block_allocate_producer(
+        program, decision.function, analysis=_analysis_for(program, session)
+    )
     return result.program, [
         f"block-allocated {decision.function} ({result.annotated_sites} site(s))"
     ]
 
 
-def apply_plan(plan: OptimizationPlan) -> tuple[Program, list[str]]:
+def apply_plan(
+    plan: OptimizationPlan, session: "AnalysisSession | None" = None
+) -> tuple[Program, list[str]]:
     """Mechanically apply the plan's safe subset; returns the transformed
     program and a log of the steps taken.  Inapplicable steps are skipped
     and logged; the program is never left partially transformed because
-    each step either returns a complete fresh program or raises."""
+    each step either returns a complete fresh program or raises.
+
+    With ``session`` (typically the planner's), every rewrite asks its
+    escape facts through a session derived from it, so facts the planner
+    already solved — and every binding a rewrite leaves unchanged — are
+    cache hits.  Without it each rewrite analyzes from scratch."""
     program = plan.program
     log: list[str] = []
 
     for decision in plan.by_kind("reuse"):
         try:
-            program, step_log = apply_reuse_decision(program, decision)
+            program, step_log = apply_reuse_decision(program, decision, session)
             log.extend(step_log)
             obs.emit("transform_applied", kind="reuse", detail="; ".join(step_log))
         except OptimizationError as error:
@@ -279,7 +313,7 @@ def apply_plan(plan: OptimizationPlan) -> tuple[Program, list[str]]:
 
     if plan.by_kind("stack"):
         try:
-            program, step_log = apply_stack_decision(program)
+            program, step_log = apply_stack_decision(program, session)
             log.extend(step_log)
             obs.emit("transform_applied", kind="stack", detail="; ".join(step_log))
         except OptimizationError as error:
@@ -288,7 +322,7 @@ def apply_plan(plan: OptimizationPlan) -> tuple[Program, list[str]]:
 
     for decision in plan.by_kind("block"):
         try:
-            program, step_log = apply_block_decision(program, decision)
+            program, step_log = apply_block_decision(program, decision, session)
             log.extend(step_log)
             obs.emit("transform_applied", kind="block", detail="; ".join(step_log))
         except OptimizationError as error:

@@ -17,6 +17,14 @@ into a demand-driven query system, in the style of compiler query engines:
   the session program, so type (re-)inference never clobbers ``.ty``
   annotations on the caller's AST — including the local test's variant
   programs, which historically shared binding nodes across queries.
+* **Derived sessions.**  :meth:`AnalysisSession.derive` opens a session
+  for a rewrite of the session program (the optimizer's ``P + f_reuse``,
+  the auditor's dcons-erased program).  It owns its program, base
+  inference, stats and sharing classes, and shares every content-addressed
+  tier with its parent: the solve, local-test and SCC caches, the node
+  index, the store and the evaluator registry.  Every shared tier is keyed
+  by content, so a derived session reuses exactly the answers whose inputs
+  hash identically and re-derives everything a rewrite changed.
 * **Accounting.**  Each query tallies cache hits/misses, fixpoint
   iterations and abstract-evaluation steps (:class:`QueryStats`,
   aggregated into :class:`SessionStats`), and budget meters from the
@@ -64,6 +72,7 @@ from repro.lang.ast import Letrec, Program, Var, clone_program, uncurry_app
 from repro.lang.errors import AnalysisError
 from repro.lang.fingerprint import (
     bindings_fingerprint,
+    expr_fingerprint,
     program_fingerprint,
     stable_digest,
 )
@@ -124,7 +133,9 @@ class SolvedProgram:
 
     ``program`` is the session-private typed clone the solve ran on — the
     authoritative source for instance types (the caller's AST keeps its
-    base-inference types untouched).  ``traces`` are in program binding
+    base-inference types untouched).  An unpinned solve runs on the clone
+    taken at session start, typed by the session's base ``inference``;
+    a pinned one re-infers a fresh clone.  ``traces`` are in program binding
     order; ``scc_iterates`` holds, per binding, the per-iteration
     environments of its component's fixpoint (index 0 is bottom), merged
     with the already-solved dependency values so Appendix A.1 derivations
@@ -247,13 +258,56 @@ class _SCCEntry:
     liveness: dict = field(default_factory=dict)
 
 
+@dataclass
+class _Sharing:
+    """Where one program's may-share classes come from: the evaluators its
+    solves created and the SCC entries they touched (hits included)."""
+
+    evaluators: list[AbstractEvaluator] = field(default_factory=list)
+    scc_classes: list[dict] = field(default_factory=list)
+
+
+class _Tiers:
+    """The content-addressed state a session and its derived sessions
+    share.  Every cache is keyed by what a question *is* (fingerprints and
+    digests), never by which session asked it."""
+
+    def __init__(self, store: "AnalysisStore | None"):
+        #: ``(program_fp, pins_fp, d, max_iterations)`` -> solved program
+        self.solves: dict[tuple, SolvedProgram] = {}
+        #: ``(program_fp, call_fp, d, max_iterations)`` -> the local
+        #: test's solved variant, head value and label
+        self.calls: dict[tuple, tuple[SolvedProgram, EscapeValue, str]] = {}
+        #: :func:`scc_digest` -> solved component
+        self.sccs: dict[str, _SCCEntry] = {}
+        #: Optional on-disk second cache tier (read-through on SCC misses,
+        #: write-behind on fresh solves).  Store hits perform no fixpoint
+        #: iterations and tick no budget meter.
+        self.store = store
+        #: AST paths for value serialization, spanning every clone the
+        #: family solved on (cached dependency values can carry closures
+        #: over earlier clones).  Only populated when a store is attached.
+        self.node_index = NodeIndex() if store is not None else None
+        #: Every evaluator the family ever created.  Cached closure values
+        #: tick their *creating* evaluator, so a query's meter must be
+        #: installed on all of them, and cleared afterwards.
+        self.evaluators: list[AbstractEvaluator] = []
+        #: program fingerprint -> its sharing sources, so each program's
+        #: classes stay its own however many sessions solve on it
+        self.sharing: dict[str, _Sharing] = {}
+
+
 class AnalysisSession:
     """A cache-carrying scope for escape-analysis queries over one program.
 
-    The session owns the base (unpinned) inference, the solve cache, the
-    per-SCC fixpoint cache, and the registry of abstract evaluators whose
-    closures may be re-entered by later queries (so budget meters can be
-    installed on all of them for the duration of a query).
+    The session owns its program, the base (unpinned) inference, its stats
+    and its program's sharing classes.  The caches, the store and the
+    registry of abstract evaluators whose closures later queries may
+    re-enter (so budget meters can be installed on all of them for the
+    duration of a query) live in tiers it shares with every session
+    derived from it.  ``parent`` is how :meth:`derive` builds such a
+    session; a derived session takes its configuration (``d``,
+    ``max_iterations``, store, engine) from the parent.
     """
 
     def __init__(
@@ -263,37 +317,38 @@ class AnalysisSession:
         max_iterations: int | None = None,
         store: "AnalysisStore | None" = None,
         engine: str | None = None,
+        parent: "AnalysisSession | None" = None,
     ):
         self.program = program
+        if parent is not None:
+            if (d, max_iterations, store, engine) != (None, None, None, None):
+                raise AnalysisError(
+                    "a derived session takes its configuration from its parent"
+                )
+            d, max_iterations = parent.d_override, parent.max_iterations
+            engine = parent.engine
+            self._tiers = parent._tiers
+        else:
+            self._tiers = _Tiers(store)
         self.d_override = d
         self.max_iterations = max_iterations
         #: The fixpoint engine every evaluator of this session runs on
         #: (``None`` resolves the process default once, at construction, so
         #: a session never mixes engines mid-life).
         self.engine = validate_engine(engine) if engine is not None else default_engine()
-        #: Optional on-disk second cache tier (read-through on SCC misses,
-        #: write-behind on fresh solves).  Store hits perform no fixpoint
-        #: iterations and tick no budget meter.
-        self.store = store
+        self.store = self._tiers.store
         # Base inference: exposes the (possibly polymorphic) schemes and
         # stamps the caller's AST with the default instance, as the
-        # pre-session analyzer did.
+        # pre-session analyzer did.  The unpinned solve runs on a clone
+        # taken now: a later derived session's inference re-stamps any
+        # binding nodes its program shares with this one.
         self._base_inference = infer_program(program)
+        self._base_clone = clone_program(program)
         self.program_fingerprint = program_fingerprint(program)
         self.stats = SessionStats()
-        self._solve_cache: dict[tuple, SolvedProgram] = {}
-        self._scc_cache: dict[str, _SCCEntry] = {}
-        #: AST paths for value serialization, spanning every clone this
-        #: session solved on (cached dependency values can carry closures
-        #: over earlier clones).  Only populated when a store is attached.
-        self._node_index = NodeIndex() if store is not None else None
-        #: Every evaluator this session ever created.  Cached closure
-        #: values tick their *creating* evaluator, so a query's meter must
-        #: be installed on all of them, and cleared afterwards.
-        self._evaluators: list[AbstractEvaluator] = []
-        #: sharing classes of every SCC entry a solve touched (cache and
-        #: store hits included) — merged by :meth:`sharing_classes`
-        self._scc_sharing: list[dict] = []
+        self._sharing = self._tiers.sharing.setdefault(
+            self.program_fingerprint, _Sharing()
+        )
         self._active_meter: "BudgetMeter | None" = None
         self._query_depth = 0
         self._current: QueryStats | None = None
@@ -307,6 +362,23 @@ class AnalysisSession:
 
     def scheme(self, name: str) -> TypeScheme:
         return self._base_inference.scheme(name)
+
+    # -- derived sessions --------------------------------------------------
+
+    def derive(self, program: Program) -> "AnalysisSession":
+        """A session for ``program`` — typically a rewrite of this session's
+        program — that shares this session's content-addressed tiers and
+        configuration.  Returns ``self`` for this session's own program.
+
+        Sharing is safe because nothing is keyed by session: a solve is
+        answered from the cache only when its program, pins and
+        configuration fingerprint identically, an SCC only when its
+        provenance digest does, and a rewrite that changes a binding
+        changes both.
+        """
+        if program is self.program:
+            return self
+        return AnalysisSession(program, parent=self)
 
     # -- query scope -------------------------------------------------------
 
@@ -325,9 +397,9 @@ class AnalysisSession:
             self.stats.queries += 1
             self._current = QueryStats()
             self._active_meter = meter
-            for evaluator in self._evaluators:
+            for evaluator in self._tiers.evaluators:
                 evaluator.meter = meter
-            self._steps_at_begin = sum(e.steps for e in self._evaluators)
+            self._steps_at_begin = sum(e.steps for e in self._tiers.evaluators)
         elif meter is not None and meter is not self._active_meter:
             warnings.warn(
                 "nested AnalysisSession.query() scope passed its own budget "
@@ -343,10 +415,10 @@ class AnalysisSession:
         finally:
             self._query_depth -= 1
             if self._query_depth == 0:
-                for evaluator in self._evaluators:
+                for evaluator in self._tiers.evaluators:
                     evaluator.meter = None
                 self._active_meter = None
-                steps = sum(e.steps for e in self._evaluators) - self._steps_at_begin
+                steps = sum(e.steps for e in self._tiers.evaluators) - self._steps_at_begin
                 current.eval_steps += steps
                 self.stats.eval_steps += steps
                 if self.engine == "worklist":
@@ -377,7 +449,8 @@ class AnalysisSession:
             max_iterations=self.max_iterations,
             meter=self._active_meter,
         )
-        self._evaluators.append(evaluator)
+        self._tiers.evaluators.append(evaluator)
+        self._sharing.evaluators.append(evaluator)
         return evaluator
 
     def _tally(self, **deltas: int) -> None:
@@ -400,14 +473,14 @@ class AnalysisSession:
 
         merged = AliasPartition()
         seen = False
-        for evaluator in self._evaluators:
+        for evaluator in self._sharing.evaluators:
             classes = getattr(evaluator, "sharing_classes", None)
             if classes is None:
                 continue
             for name, names in classes().items():
                 seen = True
                 merged.union(("name", name), *(("name", n) for n in names))
-        for classes in self._scc_sharing:
+        for classes in self._sharing.scc_classes:
             for name, names in classes.items():
                 seen = True
                 merged.union(("name", name), *(("name", n) for n in names))
@@ -425,7 +498,7 @@ class AnalysisSession:
             self.d_override,
             self.max_iterations,
         )
-        cached = self._solve_cache.get(key)
+        cached = self._tiers.solves.get(key)
         if cached is not None:
             self._tally(solve_hits=1)
             obs.emit("solve", cache="hit", pins=sorted(pins) if pins else [])
@@ -433,8 +506,14 @@ class AnalysisSession:
         self._tally(solve_misses=1)
         obs.emit("solve", cache="miss", pins=sorted(pins) if pins else [])
         with obs.span("solve"):
-            solved = self._solve_program(clone_program(self.program), pins)
-        self._solve_cache[key] = solved
+            if pins:
+                solved = self._solve_program(clone_program(self.program), pins)
+            else:
+                # Re-inferring a clone would reproduce the base inference.
+                solved = self._solve_program(
+                    self._base_clone, None, self._base_inference
+                )
+        self._tiers.solves[key] = solved
         return solved
 
     def solve_call(
@@ -448,9 +527,24 @@ class AnalysisSession:
         and a display label.  When the head is a top-level function the
         solve is pinned to the monotype instance the call uses (discovered
         by a first inference pass over the private clone, cf. §4.2).
+
+        The answer is cached under ``(program_fp, call_fp, d,
+        max_iterations)``: the variant is a function of the program and
+        the call alone, so any session of the family that asks the same
+        local test again, on a program with the same fingerprint, skips
+        both inferences and the solve.
         """
         if self._active_meter is not None:
             self._active_meter.check_deadline()
+        key = (
+            self.program_fingerprint,
+            expr_fingerprint(expr),
+            self.d_override,
+            self.max_iterations,
+        )
+        cached = self._tiers.calls.get(key)
+        if cached is not None:
+            return cached
         head, _ = uncurry_app(expr)
         variant = Program(
             letrec=Letrec(bindings=self.program.bindings, body=expr),
@@ -463,17 +557,29 @@ class AnalysisSession:
                 work_head, _ = uncurry_app(work.body)
                 assert work_head.ty is not None
                 solved = self._solve_program(work, pins={head.name: work_head.ty})
-                return solved, solved.env[head.name], head.name
-            solved = self._solve_program(work, pins=None)
-            solved_head, _ = uncurry_app(solved.program.body)
-            return solved, solved.evaluator.eval(solved_head, solved.env), "<expr>"
+                answer = (solved, solved.env[head.name], head.name)
+            else:
+                solved = self._solve_program(work, pins=None)
+                solved_head, _ = uncurry_app(solved.program.body)
+                answer = (
+                    solved,
+                    solved.evaluator.eval(solved_head, solved.env),
+                    "<expr>",
+                )
+        self._tiers.calls[key] = answer
+        return answer
 
     def _solve_program(
-        self, program: Program, pins: dict[str, Type] | None
+        self,
+        program: Program,
+        pins: dict[str, Type] | None,
+        inference: InferenceResult | None = None,
     ) -> SolvedProgram:
         """Infer ``program`` (a session-private clone, mutated in place)
-        with ``pins`` and solve its letrec fixpoint per SCC."""
-        inference = infer_program(program, pins=pins)
+        with ``pins`` — unless its ``inference`` is already given — and
+        solve its letrec fixpoint per SCC."""
+        if inference is None:
+            inference = infer_program(program, pins=pins)
         d = (
             self.d_override
             if self.d_override is not None
@@ -505,8 +611,8 @@ class AnalysisSession:
         dict[str, str],
         dict[str, dict],
     ]:
-        if self._node_index is not None:
-            self._node_index.add_program(program)
+        if self._tiers.node_index is not None:
+            self._tiers.node_index.add_program(program)
         env: AbsEnv = {}
         #: decoded heap-liveness summaries of every binding solved so far
         #: (the dependency scope for later SCCs' summaries)
@@ -533,7 +639,7 @@ class AnalysisSession:
             closure = frozenset(scc.names).union(
                 *(transitive[name] for name in dep_names)
             )
-            entry = self._scc_cache.get(digest)
+            entry = self._tiers.sccs.get(digest)
             if entry is not None:
                 self._tally(scc_hits=1)
                 obs.emit(
@@ -545,7 +651,7 @@ class AnalysisSession:
             else:
                 entry = self._store_read(digest, scc.names, program, env, chain)
                 if entry is not None:
-                    self._scc_cache[digest] = entry
+                    self._tiers.sccs[digest] = entry
                     self._tally(scc_hits=1, store_hits=1)
                     obs.emit(
                         "scc_solve_finish",
@@ -589,7 +695,7 @@ class AnalysisSession:
                             },
                             liveness=scc_liveness,
                         )
-                    self._scc_cache[digest] = entry
+                    self._tiers.sccs[digest] = entry
                     self._tally(iterations=entry.iterations)
                     obs.emit(
                         "scc_solve_finish",
@@ -599,7 +705,7 @@ class AnalysisSession:
                     )
                     self._store_write(digest, scc.names, entry, env, closure)
             if entry.sharing:
-                self._scc_sharing.append(entry.sharing)
+                self._sharing.scc_classes.append(entry.sharing)
             for name, payload in sorted(entry.liveness.items()):
                 try:
                     liveness_env[name] = decode_summary(payload)
@@ -678,7 +784,7 @@ class AnalysisSession:
         """
         if self.store is None:
             return
-        assert self._node_index is not None
+        assert self._tiers.node_index is not None
         dep_closure = sorted(closure - frozenset(names))
         env_names = {
             id(env[name]): name for name in dep_closure if name in env
@@ -690,7 +796,7 @@ class AnalysisSession:
                 entry.iterates,
                 entry.base_env,
                 entry.iterations,
-                self._node_index,
+                self._tiers.node_index,
                 env_names,
                 sharing=entry.sharing,
                 liveness=entry.liveness,

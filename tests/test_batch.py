@@ -128,6 +128,44 @@ class TestRunBatch:
     def test_empty_batch_is_not_ok(self):
         assert not BatchReport(reports=[], jobs=1, store_root=None).ok
 
+    def test_run_sweeps_stale_tmp_files_once(self, corpus, tmp_path, monkeypatch):
+        from repro.store import DEFAULT_REAP_AGE_S, AnalysisStore
+
+        store = tmp_path / "store"
+        stale = store / "ab" / ".orphan.tmp"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("{")
+        old = time.time() - DEFAULT_REAP_AGE_S - 60
+        os.utime(stale, (old, old))
+        sweeps = []
+        original = AnalysisStore.tmp_files
+        monkeypatch.setattr(
+            AnalysisStore,
+            "tmp_files",
+            lambda self: sweeps.append(1) or original(self),
+        )
+        assert run_batch([corpus], store_root=store, jobs=1).ok
+        assert not stale.exists()
+        assert len(sweeps) == 1  # at the start of the run, not per file
+
+    def test_in_process_snapshot_worker_does_not_sweep(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        from repro.diff.snapshot import snapshot_one
+        from repro.store import AnalysisStore
+
+        def no_sweep(self):
+            raise AssertionError("a worker swept the store")
+
+        monkeypatch.setattr(AnalysisStore, "tmp_files", no_sweep)
+        report = snapshot_one(
+            str(corpus / "append.nml"),
+            str(tmp_path / "store"),
+            out_dir=str(tmp_path / "out"),
+            rel="append.nml",
+        )
+        assert report.ok
+
     def test_totals_skip_failed_files_and_bools(self):
         report = BatchReport(
             reports=[

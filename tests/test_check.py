@@ -7,6 +7,7 @@ check`` / ``repro batch --check`` CLI surface with its exit-code taxonomy.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,76 @@ class TestAudit:
         warnings = [d for d in found if d.severity is CheckSeverity.WARNING]
         assert warnings and all(d.rule.id == "AUD006" for d in warnings)
         assert all("ps_reuse" in d.message for d in warnings)
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+#: examples/*.nml plus every 10th generated corpus program
+ORACLE_FILES = sorted(EXAMPLES.glob("*.nml")) + sorted(
+    (EXAMPLES / "generated").glob("gen-*.nml")
+)[::10]
+
+
+def _findings(report: CheckReport) -> list[tuple]:
+    return [(d.rule.id, d.span, d.context, d.message) for d in report.diagnostics]
+
+
+class TestSharedSessionOracle:
+    """The auditor's verdicts do not depend on sharing the planner's
+    session: it re-derives its facts on the dcons-erased program either
+    way, and a shared cache answers only identically keyed questions."""
+
+    @pytest.mark.parametrize(
+        "path", ORACLE_FILES, ids=lambda p: p.relative_to(EXAMPLES).as_posix()
+    )
+    def test_shared_and_fresh_audits_agree(self, path):
+        from repro.escape.analyzer import EscapeAnalysis
+        from repro.opt.driver import apply_plan, plan_optimizations
+
+        program = parse_program(path.read_text())
+        session = EscapeAnalysis(program).session
+        plan = plan_optimizations(program, session=session)
+        optimized, _ = apply_plan(plan, session=session)
+        fresh = check_program(optimized)
+        shared = check_program(optimized, session=session)
+        assert _findings(shared) == _findings(fresh)
+        assert shared.pass_errors == fresh.pass_errors
+
+    def test_shared_session_still_catches_injected_unsound_reuse(self):
+        # The same injected compiler bug as the fresh-path test above, but
+        # the rewrite and the audit ask through a session that already
+        # holds every sound fact about the original program.
+        from repro.escape.analyzer import EscapeAnalysis
+        from repro.query import AnalysisSession
+
+        program = paper_partition_sort()
+        session = AnalysisSession(program)
+        EscapeAnalysis(program, session=session).global_all("append")
+        with inject(FaultPlan(unsound_reuse_at=1)) as injector:
+            bad = make_reuse_specialization(
+                program,
+                "append",
+                2,
+                new_name="append_bad",
+                analysis=EscapeAnalysis(program, session=session),
+            ).program
+        assert injector.fired == ["unsound_reuse@1"]
+        [site] = [
+            node
+            for node in walk(bad.binding("append_bad").expr)
+            if isinstance(node, App)
+            and isinstance(uncurry_app(node)[0], Prim)
+            and uncurry_app(node)[0].name == "dcons"
+            and len(uncurry_app(node)[1]) == 3
+        ]
+
+        for found in (
+            audit_program(bad, session=session),
+            check_program(bad, session=session).diagnostics,
+        ):
+            errors = [d for d in found if d.severity is CheckSeverity.ERROR]
+            assert rule_ids(errors) == ["AUD003"]
+            assert errors[0].context == "append_bad"
+            assert errors[0].span == site.span != NO_SPAN
 
 
 class TestMachineVerifier:

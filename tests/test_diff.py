@@ -134,6 +134,66 @@ class TestSnapshotArtifacts:
             )
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+class TestOneSessionPerFile:
+    """``snapshot_program`` answers the planner, the rewrites and the audit
+    from one analysis session per file (DESIGN decision 20)."""
+
+    def _snapshot_events(self, store) -> list[dict]:
+        from repro.obs import RingBufferSink, Tracer, activate
+
+        sink = RingBufferSink(capacity=None)
+        program = parse_program((EXAMPLES / "partition_sort.nml").read_text())
+        with activate(Tracer([sink])):
+            snapshot_program(program, "partition_sort.nml", store=store)
+        return sink.events
+
+    def test_a_warm_snapshot_solves_no_scc(self, tmp_path):
+        from repro.store import AnalysisStore
+
+        cold = self._snapshot_events(AnalysisStore(tmp_path / "store"))
+        assert any(e["type"] == "scc_solve_start" for e in cold)
+        warm = self._snapshot_events(AnalysisStore(tmp_path / "store"))
+        assert [e for e in warm if e["type"] == "scc_solve_start"] == []
+
+    def test_work_count_gate(self, monkeypatch):
+        # A noise-free gate on the session sharing: one snapshot of the
+        # paper's partition sort builds 5 sessions (the planner's, which
+        # also serves the first reuse rewrite; one each for the second and
+        # third reuse rewrites, the stack rewrite and the audit) and runs
+        # type inference 11 times.  Fresh sessions per rewrite took 6
+        # sessions and 17 inferences.
+        import sys
+
+        import repro.query as query
+        import repro.types.infer as infer
+
+        counts = {"infer": 0, "sessions": 0}
+        original_infer = infer.infer_program
+
+        def counting_infer(*args, **kwargs):
+            counts["infer"] += 1
+            return original_infer(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "infer_program", None) is original_infer
+            ):
+                monkeypatch.setattr(module, "infer_program", counting_infer)
+        original_init = query.AnalysisSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["sessions"] += 1
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(query.AnalysisSession, "__init__", counting_init)
+        program = parse_program((EXAMPLES / "partition_sort.nml").read_text())
+        snapshot_program(program, "partition_sort.nml")
+        assert counts == {"infer": 11, "sessions": 5}
+
+
 class TestCompare:
     def test_self_compare_is_empty(self, corpus, tmp_path):
         out = tmp_path / "snap"

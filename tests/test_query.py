@@ -235,3 +235,102 @@ class TestNestedMeterScopes:
                     results = analysis.global_all("append")
         assert results and inner.eval_steps == 0
         assert outer.eval_steps > 0
+
+
+class TestDerivedSessions:
+    """``AnalysisSession.derive``: a session for a rewrite of the program
+    that owns its program, inference, stats and sharing classes, and shares
+    the parent's content-addressed caches and evaluator registry."""
+
+    @pytest.fixture
+    def family(self, partition_sort):
+        from repro.opt.reuse import make_reuse_specialization
+
+        parent = AnalysisSession(partition_sort)
+        parent.solve(None)
+        rewritten = make_reuse_specialization(partition_sort, "append", 1).program
+        return parent, rewritten
+
+    def test_own_program_schemes_and_stats(self, family):
+        parent, rewritten = family
+        child = parent.derive(rewritten)
+        assert child is not parent and child.program is rewritten
+        assert "append_reuse" in child.schemes
+        assert "append_reuse" not in parent.schemes
+        assert child.stats is not parent.stats and child.stats.queries == 0
+        assert child.store is parent.store and child.engine == parent.engine
+
+    def test_deriving_the_same_program_returns_the_session(self, family):
+        parent, _ = family
+        assert parent.derive(parent.program) is parent
+
+    def test_unchanged_bindings_hit_the_parent_scc_cache(self, family):
+        parent, rewritten = family
+        child = EscapeAnalysis(rewritten, session=parent.derive(rewritten))
+        child.solve(None)
+        # append, split and ps are unchanged; append_reuse is the new SCC.
+        assert child.stats.scc_misses == 1
+        assert child.stats.scc_hits == 3
+        assert parent.stats.scc_misses == 3
+
+    def test_derived_solves_leave_the_parent_sharing_classes_alone(self, family):
+        parent, rewritten = family
+        before = parent.sharing_classes()
+        child = parent.derive(rewritten)
+        child.solve(None)
+        assert parent.sharing_classes() == before
+        assert "append_reuse" in child.sharing_classes()
+        assert all("append_reuse" not in names for names in before.values())
+
+    def test_a_query_meter_reaches_the_parent_evaluators(self, family):
+        # Cached closures tick the evaluator that created them, so a
+        # derived query must meter the parent's evaluators too.
+        parent, rewritten = family
+        child = parent.derive(rewritten)
+        closure = child.solve(None).env["append"].fn
+        meter = AnalysisBudget(max_eval_steps=1_000_000).start()
+        with child.query(meter):
+            assert closure.evaluator.meter is meter
+        assert closure.evaluator.meter is None
+
+    def test_session_for_another_program_still_rejected(self, family):
+        parent, rewritten = family
+        with pytest.raises(AnalysisError):
+            EscapeAnalysis(rewritten, session=parent)
+
+    def test_derived_session_takes_the_parent_configuration(self, partition_sort):
+        parent = AnalysisSession(partition_sort, d=5, max_iterations=40)
+        child = parent.derive(prelude_program(["append"]))
+        assert (child.d_override, child.max_iterations) == (5, 40)
+        with pytest.raises(AnalysisError, match="configuration"):
+            AnalysisSession(prelude_program(["append"]), d=2, parent=parent)
+
+    def test_an_unpinned_solve_reuses_the_base_inference(self, monkeypatch):
+        import repro.query as query
+
+        calls = []
+        original = query.infer_program
+        monkeypatch.setattr(
+            query, "infer_program", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        analysis = EscapeAnalysis(prelude_program(["append"]))
+        assert len(calls) == 1  # the base inference
+        analysis.global_all("append")
+        assert len(calls) == 1
+        analysis.global_test("append", 1, instance=DEEP_APPEND)
+        assert len(calls) == 2  # a pinned solve re-infers its own clone
+
+    def test_repeated_local_tests_hit_the_local_test_cache(self, family):
+        from repro.lang.ast import clone_program
+
+        parent, _ = family
+        first = EscapeAnalysis(parent.program, session=parent)
+        expected = [str(r.result) for r in first.local_test("ps [3, 1, 2]")]
+        misses = parent.stats.scc_misses
+        # A derived session over a structurally identical program asks the
+        # same question: answered from the shared cache, no solve at all.
+        twin = clone_program(parent.program)
+        again = EscapeAnalysis(twin, session=parent.derive(twin))
+        assert [str(r.result) for r in again.local_test("ps [3, 1, 2]")] == expected
+        assert again.stats.scc_hits == again.stats.scc_misses == 0
+        assert parent.stats.scc_misses == misses
