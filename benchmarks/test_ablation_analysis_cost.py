@@ -7,20 +7,14 @@ implementation: abstract-evaluator steps against (a) the B_e chain bound
 """
 
 from repro.bench.tables import print_table
-from repro.escape.abstract import AbstractEvaluator
+from repro.escape.abstract import kleene_solve
 from repro.escape.analyzer import EscapeAnalysis
-from repro.escape.lattice import BeChain
 from repro.lang.ast import count_nodes
 from repro.lang.prelude import prelude_program
-from repro.types.infer import infer_program
-from repro.types.spines import program_spine_bound
 
 
 def solve_steps(program, d=None):
-    infer_program(program)
-    evaluator = AbstractEvaluator(BeChain(d or program_spine_bound(program)))
-    evaluator.solve_bindings(program.letrec, {})
-    return evaluator.steps
+    return kleene_solve(program, d=d)[0].steps
 
 
 def test_ab1_cost_vs_chain_bound(benchmark):

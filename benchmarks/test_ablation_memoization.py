@@ -7,21 +7,14 @@ effect and asserts the results are bit-identical with and without it.
 """
 
 from repro.bench.tables import print_table
-from repro.escape.abstract import AbstractEvaluator, fingerprint
+from repro.escape.abstract import fingerprint, kleene_solve
 from repro.escape.global_test import run_global_test
-from repro.escape.lattice import BeChain
 from repro.lang.prelude import prelude_program
-from repro.types.infer import infer_program
-from repro.types.spines import program_spine_bound
 
 
 def solve(names, memoize):
     program = prelude_program(names)
-    infer_program(program)
-    evaluator = AbstractEvaluator(
-        BeChain(program_spine_bound(program)), memoize=memoize
-    )
-    env = evaluator.solve_bindings(program.letrec, {})
+    evaluator, env = kleene_solve(program, memoize=memoize)
     return program, evaluator, env
 
 

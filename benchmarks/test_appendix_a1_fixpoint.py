@@ -8,18 +8,12 @@ counts are those paper counts plus one, and must stay that small.
 """
 
 from repro.bench.tables import print_table
-from repro.escape.abstract import AbstractEvaluator
-from repro.escape.lattice import BeChain
+from repro.escape.abstract import kleene_solve
 from repro.lang.prelude import paper_partition_sort, prelude_program
-from repro.types.infer import infer_program
-from repro.types.spines import program_spine_bound
 
 
 def solve(program):
-    infer_program(program)
-    evaluator = AbstractEvaluator(BeChain(program_spine_bound(program)))
-    evaluator.solve_bindings(program.letrec, {})
-    return evaluator
+    return kleene_solve(program)[0]
 
 
 def test_a1_fixpoint_iteration_counts(benchmark):

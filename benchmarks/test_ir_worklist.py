@@ -1,19 +1,22 @@
-"""IR1 — the worklist engine vs the legacy Kleene iteration.
+"""IR1 — the worklist engine vs the paper's Kleene iteration.
 
-The tentpole acceptance gate of the IR refactor, run over the programs the
+The acceptance gate of the IR refactor, run over the programs the
 existing experiments already exercise: the AB4 Appendix-A table program
 (``partition_sort``, every global question) and the SA1 transformed
 artifacts (``APPEND'``, ``PS'``, ``PS''``, ``REV'``).  For every program:
 
-* both engines produce **bit-identical per-binding lattice fingerprints**
-  (the worklist solver is a reordering of the same monotone system, so the
-  least fixpoint cannot differ), additionally pinned against the committed
-  legacy-engine oracle in ``benchmarks/ir_oracle.json`` so the CI
-  ``ir-smoke`` job needs only one engine run;
-* the worklist engine performs **≥10× fewer evaluation steps** than
-  ``session.eval_steps`` under the legacy engine — transfer evals over the
-  flat IR with instruction-level change propagation, against whole-body
-  re-evaluation per Kleene round.
+* the production analysis and the reference
+  (:func:`~repro.escape.abstract.kleene_solve`, the paper's Kleene
+  iteration over the whole letrec knot) produce **bit-identical
+  per-binding lattice fingerprints** (the worklist solver is a reordering
+  of the same monotone system, so the least fixpoint cannot differ),
+  additionally pinned against the committed oracle in
+  ``benchmarks/ir_oracle.json`` so the CI ``ir-smoke`` job needs only the
+  production run;
+* the worklist engine performs **≥10× fewer evaluation steps** than the
+  reference — transfer evals over the flat IR with instruction-level
+  change propagation, per SCC, against whole-body re-evaluation of the
+  joint knot per Kleene round.  Both counts include every global test.
 
 The measured table is exported to ``BENCH_ir.json`` at the repo root.
 """
@@ -24,8 +27,9 @@ import json
 from pathlib import Path
 
 from repro.bench.tables import print_table
-from repro.escape.abstract import fingerprint
+from repro.escape.abstract import fingerprint, kleene_solve
 from repro.escape.analyzer import EscapeAnalysis
+from repro.escape.global_test import run_global_test
 from repro.lang.prelude import paper_partition_sort, prelude_program
 from repro.opt.pipeline import (
     paper_ps_double_prime,
@@ -38,7 +42,7 @@ from repro.types.types import arity
 ORACLE_PATH = Path(__file__).resolve().parent / "ir_oracle.json"
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_ir.json"
 
-#: The IR1 acceptance threshold: worklist does ≤ 1/10 of legacy's steps.
+#: The IR1 acceptance threshold: worklist does ≤ 1/10 of the reference's steps.
 REDUCTION_FACTOR = 10
 
 
@@ -49,7 +53,7 @@ def _paper_append_prime():
     ).program
 
 
-#: name -> zero-argument builder (fresh AST per engine run).
+#: name -> zero-argument builder (fresh AST per run).
 PROGRAMS = {
     "partition_sort": paper_partition_sort,
     "APPEND'": _paper_append_prime,
@@ -59,13 +63,14 @@ PROGRAMS = {
 }
 
 
-def run_engine(build, engine: str):
-    """Solve ``build()`` under ``engine`` and answer every global question.
+def run_engine(build):
+    """Solve ``build()`` with the production analysis and answer every
+    global question.
 
     Returns (per-binding fingerprint strings, total evaluation steps).
     """
     program = build()
-    analysis = EscapeAnalysis(program, engine=engine)
+    analysis = EscapeAnalysis(program)
     solved = analysis.solve(None)
     for name in program.binding_names():
         if arity(analysis.scheme(name).body):
@@ -82,18 +87,32 @@ def run_engine(build, engine: str):
     return fingerprints, analysis.stats.eval_steps
 
 
+def run_reference(build):
+    """:func:`run_engine` for the Kleene reference: one joint solve of the
+    whole knot, then every global question on its environment."""
+    program = build()
+    evaluator, env = kleene_solve(program)
+    fingerprints = {}
+    for name in program.binding_names():
+        ty = program.binding(name).expr.ty
+        fingerprints[name] = str(fingerprint(env[name], ty, evaluator.chain))
+        for i in range(1, arity(ty) + 1):
+            run_global_test(evaluator, env, name, ty, i)
+    return fingerprints, evaluator.steps
+
+
 def test_ir1_worklist_reduces_steps_with_identical_fingerprints(benchmark):
     oracle = json.loads(ORACLE_PATH.read_text())
     rows = []
     doc = {"reduction_factor": REDUCTION_FACTOR, "programs": {}}
-    total_legacy = total_worklist = 0
+    total_reference = total_worklist = 0
 
     for name, build in PROGRAMS.items():
-        legacy_fps, legacy_steps = run_engine(build, "legacy")
-        worklist_fps, worklist_steps = run_engine(build, "worklist")
+        reference_fps, reference_steps = run_reference(build)
+        worklist_fps, worklist_steps = run_engine(build)
 
         # Differential gate: bit-identical per-binding fingerprints.
-        assert worklist_fps == legacy_fps, name
+        assert worklist_fps == reference_fps, name
         # Pin against the committed oracle (regenerate with
         # ``python benchmarks/test_ir_worklist.py`` if lattice semantics
         # legitimately change).
@@ -103,42 +122,40 @@ def test_ir1_worklist_reduces_steps_with_identical_fingerprints(benchmark):
         # (the ≥10× bar is asserted over the whole set below — the tiny
         # SA1 specializations converge in so few steps that there is less
         # redundant work for change-propagation to eliminate).
-        assert legacy_steps > worklist_steps, (
-            f"{name}: {legacy_steps} legacy vs {worklist_steps} worklist"
+        assert reference_steps > worklist_steps, (
+            f"{name}: {reference_steps} reference vs {worklist_steps} worklist"
         )
 
-        total_legacy += legacy_steps
+        total_reference += reference_steps
         total_worklist += worklist_steps
-        ratio = legacy_steps / worklist_steps
-        rows.append([name, legacy_steps, worklist_steps, f"{ratio:.1f}x"])
+        ratio = reference_steps / worklist_steps
+        rows.append([name, reference_steps, worklist_steps, f"{ratio:.1f}x"])
         doc["programs"][name] = {
-            "legacy_eval_steps": legacy_steps,
+            "reference_eval_steps": reference_steps,
             "worklist_evals": worklist_steps,
             "reduction": round(ratio, 2),
             "fingerprints_identical": True,
         }
 
-    assert total_legacy >= REDUCTION_FACTOR * total_worklist
+    assert total_reference >= REDUCTION_FACTOR * total_worklist
     doc["total"] = {
-        "legacy_eval_steps": total_legacy,
+        "reference_eval_steps": total_reference,
         "worklist_evals": total_worklist,
-        "reduction": round(total_legacy / total_worklist, 2),
+        "reduction": round(total_reference / total_worklist, 2),
     }
     BENCH_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     print_table(
-        ["program", "legacy steps", "worklist evals", "reduction"], rows
+        ["program", "reference steps", "worklist evals", "reduction"], rows
     )
 
     # Time the production configuration on the AB4 program.
-    benchmark(lambda: run_engine(paper_partition_sort, "worklist"))
+    benchmark(lambda: run_engine(paper_partition_sort))
 
 
 def _regenerate_oracle() -> None:
-    """Rebuild ``ir_oracle.json`` from the legacy engine (the oracle)."""
-    oracle = {
-        name: run_engine(build, "legacy")[0] for name, build in PROGRAMS.items()
-    }
+    """Rebuild ``ir_oracle.json`` from the Kleene reference."""
+    oracle = {name: run_reference(build)[0] for name, build in PROGRAMS.items()}
     ORACLE_PATH.write_text(json.dumps(oracle, indent=2, sort_keys=True) + "\n")
     print(f"wrote {ORACLE_PATH}")
 

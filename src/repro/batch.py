@@ -72,7 +72,6 @@ import repro.opt.driver  # noqa: F401
 from repro.analysis.heap_liveness import analyze_program
 from repro.check import check_program
 from repro.escape.analyzer import EscapeAnalysis
-from repro.escape.engine import default_engine, validate_engine, warn_legacy_engine
 from repro.escape.report import stats_dict
 from repro.lang.parser import parse_program
 from repro.obs import context as obs_context
@@ -415,7 +414,6 @@ def analyze_one(
     max_iterations: int | None = None,
     check: bool = False,
     deadline_ms: float | None = None,
-    engine: str | None = None,
     collector: str | None = None,
     gc_threshold: int = 256,
 ) -> FileReport:
@@ -438,11 +436,11 @@ def analyze_one(
         store = AnalysisStore(store_root, reap=False) if store_root else None
         if deadline_ms is not None:
             report = _analyze_hardened(
-                path, program, store, d, max_iterations, deadline_ms, engine
+                path, program, store, d, max_iterations, deadline_ms
             )
         else:
             analysis = EscapeAnalysis(
-                program, d=d, max_iterations=max_iterations, store=store, engine=engine
+                program, d=d, max_iterations=max_iterations, store=store
             )
             solved = analysis.solve(None)
             functions = 0
@@ -481,7 +479,6 @@ def _analyze_hardened(
     d: int | None,
     max_iterations: int | None,
     deadline_ms: float,
-    engine: str | None = None,
 ) -> FileReport:
     """The budgeted worker body: every query through the hardened engine,
     degradations collected instead of raised."""
@@ -491,7 +488,6 @@ def _analyze_hardened(
         d=d,
         max_iterations=max_iterations,
         store=store,
-        engine=engine,
     )
     functions = 0
     degradations: list[str] = []
@@ -952,7 +948,6 @@ def run_batch(
     timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plan=None,
-    engine: str | None = None,
     collector: str | None = None,
     gc_threshold: int = 256,
     trace: bool = False,
@@ -987,15 +982,8 @@ def run_batch(
         AnalysisStore(root)
     retry = retry or DEFAULT_RETRY
     quarantine = Quarantine()
-    # Resolve the engine here: worker processes start fresh and would not
-    # see a ``use_engine`` scope installed in this process.
-    engine = validate_engine(engine) if engine is not None else default_engine()
-    if engine == "legacy":
-        # Deprecation is a *driver* concern: exactly one warning per
-        # process, however many worker attempts fan out below.
-        warn_legacy_engine()
     work = [
-        (str(p), root, d, max_iterations, check, deadline_ms, engine)
+        (str(p), root, d, max_iterations, check, deadline_ms)
         + ((collector, gc_threshold) if worker is None else ())
         + (tuple(worker_extra(p)) if worker_extra is not None else ())
         for p in inputs

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 
 from repro.canonical import canonical_dumps, canonical_json
 from repro.lang.errors import NmlError
-from repro.options import COLLECTORS, DEFAULT_ENGINE, ENGINES
+from repro.options import COLLECTORS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lang.ast import Program
@@ -126,15 +126,6 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
         "--strict",
         action="store_true",
         help="treat a degraded (non-exact) answer as a hard error (exit 1)",
-    )
-
-
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        help=f"fixpoint engine (default: {DEFAULT_ENGINE}); 'legacy' keeps "
-        "the AST-walking Kleene iteration as a differential-testing oracle",
     )
 
 
@@ -693,7 +684,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         timeout_s=args.timeout_ms / 1000.0 if args.timeout_ms is not None else None,
         retry=retry,
-        engine=args.engine,
         collector=args.gc,
         gc_threshold=args.gc_threshold,
     )
@@ -793,7 +783,6 @@ def _cmd_diff_snapshot(args: argparse.Namespace) -> int:
             args.out,
             jobs=args.jobs,
             store_root=store_root,
-            engine=args.engine,
             d=args.d,
             max_iterations=args.max_iterations,
             timeout_s=args.timeout_ms / 1000.0
@@ -935,8 +924,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if findings == 0 else EXIT_FINDINGS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that never expands an abbreviated long option, so ``--d``
+    cannot silently mean ``--deadline-ms`` on a subcommand that has no
+    ``--d``.  Subparsers are built with the class of their parent, so every
+    subcommand, ``diff``'s included, parses the same way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Escape Analysis on Lists (Park & Goldberg, PLDI 1992)",
         epilog=_EXIT_CODE_HELP,
@@ -976,7 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    _add_engine_arg(report_parser)
     _add_obs_args(report_parser)
     report_parser.set_defaults(handler=_cmd_report)
 
@@ -998,7 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="attach a persistent analysis store (SCC fixpoints shared across runs)",
     )
-    _add_engine_arg(analyze_parser)
     _add_budget_args(analyze_parser)
     _add_obs_args(analyze_parser)
     analyze_parser.set_defaults(handler=_cmd_analyze)
@@ -1032,7 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --robust: re-run the optimized program under the sanitizer "
         "and discard the transforms if it misbehaves",
     )
-    _add_engine_arg(optimize_parser)
     _add_budget_args(optimize_parser)
     _add_obs_args(optimize_parser)
     optimize_parser.set_defaults(handler=_cmd_optimize)
@@ -1056,7 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--profile", action="store_true", help="print a profile report to stderr"
     )
-    _add_engine_arg(trace_parser)
     trace_parser.set_defaults(handler=_cmd_trace)
 
     batch_parser = commands.add_parser(
@@ -1127,7 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="with --gc: allocation-budget trigger per execution (default: 256)",
     )
-    _add_engine_arg(batch_parser)
     _add_obs_args(batch_parser)
     batch_parser.set_defaults(handler=_cmd_batch)
 
@@ -1169,7 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="per-file wall-clock timeout (forces worker processes)",
     )
-    _add_engine_arg(snap_parser)
     snap_parser.set_defaults(handler=_cmd_diff_snapshot)
 
     compare_parser = diff_commands.add_parser(
@@ -1261,7 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gc_arg(
         serve_parser, help_prefix="default collector for validated optimize requests: "
     )
-    _add_engine_arg(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 
     check_parser = commands.add_parser(
@@ -1290,40 +1282,17 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--json", action="store_true", help="emit the reports as JSON"
     )
-    _add_engine_arg(check_parser)
     _add_obs_args(check_parser)
     check_parser.set_defaults(handler=_cmd_check)
 
     return parser
 
 
-@contextmanager
-def _engine_scope(args: argparse.Namespace):
-    """Install ``--engine`` as the process default for one command.
-    Commands without the flag (or without a value) run on the built-in
-    default.  ``legacy`` warns: it survives as the differential-testing
-    oracle, not as a supported production configuration."""
-    engine = getattr(args, "engine", None)
-    if engine is None:
-        yield
-        return
-    if engine == "legacy":
-        # Once per process, whoever gets there first — batch workers and
-        # the driver share the same guard, so `--jobs 8` still warns once.
-        from repro.escape.engine import warn_legacy_engine
-
-        warn_legacy_engine()
-    from repro.escape.engine import use_engine
-
-    with use_engine(engine):
-        yield
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _flight_scope(args) as flight, _engine_scope(args), _obs_scope(args):
+        with _flight_scope(args) as flight, _obs_scope(args):
             code = args.handler(args)
             if (
                 code in (EXIT_DEGRADED, EXIT_FINDINGS)

@@ -4,9 +4,9 @@ The paper's value proposition is that escape facts *license* storage
 optimizations; the scariest regression is therefore a silent one — a
 change that loses a decision, weakens a lattice value, or alters machine
 code on some program nobody hand-tests.  This package turns the repo's
-existing differential methodology (legacy vs. worklist, fact by fact) on
-its third axis: **two git revisions of the whole toolchain**, compared
-over a generated corpus.
+existing differential methodology (Kleene reference vs. worklist, fact
+by fact) on its third axis: **two git revisions of the whole
+toolchain**, compared over a generated corpus.
 
 * :mod:`repro.diff.snapshot` — run analyze + optimize + check over a
   corpus and write one canonical JSON artifact per file (lattice

@@ -4,10 +4,10 @@ An artifact is everything a later revision could regress, in comparable
 form:
 
 * per-binding **lattice fingerprints** (the extensional image the
-  legacy/worklist differential suite already compares) and structured
+  Kleene-reference differential suite already compares) and structured
   lattice **values** ``{escapes, spines}`` so the differ can apply the
   ``B_e`` order rather than string equality;
-* **sharing classes** from the worklist engine's union-find partition;
+* **sharing classes** from the worklist evaluator's union-find partition;
 * per-binding **heap-liveness facts** (:mod:`repro.analysis.heap_liveness`):
   the interprocedural summaries and the joined per-binder use depths the
   liveness-directed collector budgets on — a depth that goes *up* (or a
@@ -20,8 +20,8 @@ form:
 * **checker findings** by rule ID with spans and contexts;
 * the **machine-code** listing digest and per-opcode instruction counts
   of the optimized program;
-* **provenance**: engine, store digest version, artifact schema version,
-  and the chain bound ``d``.
+* **provenance**: the evaluator (always ``"worklist"``), store digest
+  version, artifact schema version, and the chain bound ``d``.
 
 Byte stability is load-bearing: every list is explicitly sorted, every
 emission goes through :mod:`repro.canonical`, and nothing
@@ -48,7 +48,6 @@ from repro.check import check_program
 from repro.diff import ARTIFACT_SCHEMA, ARTIFACT_SUFFIX, INDEX_NAME
 from repro.escape.abstract import fingerprint
 from repro.escape.analyzer import EscapeAnalysis
-from repro.escape.engine import default_engine, validate_engine
 from repro.lang.errors import NO_SPAN, AnalysisError, NmlError
 from repro.lang.parser import parse_program
 from repro.machine.compiler import compile_program
@@ -99,8 +98,7 @@ def _scheme_text(scheme) -> str:
     return str(TypeScheme(quantified, apply_subst(scheme.body, dict(names))))
 
 
-def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
-                     d: "int | None" = None,
+def snapshot_program(program, rel: str, store=None, d: "int | None" = None,
                      max_iterations: "int | None" = None) -> dict:
     """The artifact document for one parsed program.
 
@@ -109,9 +107,7 @@ def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
     (Parse/type failures are the caller's to turn into an error artifact —
     see :func:`error_artifact`.)
     """
-    analysis = EscapeAnalysis(
-        program, d=d, max_iterations=max_iterations, store=store, engine=engine
-    )
+    analysis = EscapeAnalysis(program, d=d, max_iterations=max_iterations, store=store)
     solved = analysis.solve(None)
     chain = solved.evaluator.chain
 
@@ -223,7 +219,7 @@ def snapshot_program(program, rel: str, store=None, engine: "str | None" = None,
         "path": rel,
         "ok": True,
         "provenance": {
-            "engine": analysis.engine,
+            "engine": "worklist",
             "digest_version": DIGEST_VERSION,
             "artifact_schema": ARTIFACT_SCHEMA,
             "d": solved.d,
@@ -276,7 +272,6 @@ def snapshot_one(
     max_iterations: "int | None" = None,
     check: bool = False,
     deadline_ms: "float | None" = None,
-    engine: "str | None" = None,
     out_dir: "str | None" = None,
     rel: "str | None" = None,
 ):
@@ -297,8 +292,7 @@ def snapshot_one(
         # worker started.
         store = AnalysisStore(store_root, reap=False) if store_root else None
         document = snapshot_program(
-            program, rel, store=store, engine=engine, d=d,
-            max_iterations=max_iterations,
+            program, rel, store=store, d=d, max_iterations=max_iterations
         )
         write_artifact(out_dir, rel, document)
         # The checker's findings live in the artifact (they are *facts* to
@@ -353,7 +347,6 @@ def snapshot_corpus(
     out_dir: "str | Path",
     jobs: int = 1,
     store_root: "str | Path | None" = None,
-    engine: "str | None" = None,
     d: "int | None" = None,
     max_iterations: "int | None" = None,
     timeout_s: "float | None" = None,
@@ -366,13 +359,12 @@ def snapshot_corpus(
     Every input gets an artifact: worker-written on success or contained
     failure, driver-written for quarantined files (a crashed-out worker
     leaves no artifact behind).  The tree also carries an ``_snapshot.json``
-    index naming the engine and the artifact set.
+    index naming the evaluator and the artifact set.
     """
     inputs = collect_inputs(paths)
     rels = corpus_relative(inputs, paths)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved_engine = validate_engine(engine) if engine is not None else default_engine()
 
     report = run_batch(
         paths,
@@ -383,7 +375,6 @@ def snapshot_corpus(
         timeout_s=timeout_s,
         retry=retry,
         fault_plan=fault_plan,
-        engine=resolved_engine,
         worker=snapshot_one,
         worker_extra=lambda p: (str(out), rels[str(p)]),
     )
@@ -397,7 +388,7 @@ def snapshot_corpus(
             )
     index = {
         "schema": ARTIFACT_SCHEMA,
-        "engine": resolved_engine,
+        "engine": "worklist",
         "files": sorted(rels.values()),
         "failed": sorted(
             rels[r.path] for r in report.reports if not r.ok and r.path in rels

@@ -21,6 +21,10 @@ sample is the set of points the escape tests themselves use (bottom and the
 worst-case functions ``W^τ``).  A safety net caps the iteration count and
 *widens* to the worst-case value if the cap is hit — safe (maximal
 escapement), though no program in the paper comes close to needing it.
+
+Production analyses run the subclass
+:class:`~repro.escape.worklist.WorklistEvaluator`; the Kleene iteration
+itself runs only through :func:`kleene_solve`, the reference.
 """
 
 from __future__ import annotations
@@ -48,12 +52,15 @@ from repro.lang.ast import (
     Letrec,
     NilLit,
     Prim,
+    Program,
     Var,
     free_vars,
 )
 from repro.lang.errors import AnalysisError
 from repro.obs import tracer as obs
 from repro.robust import faults
+from repro.types.infer import infer_program
+from repro.types.spines import program_spine_bound
 from repro.types.types import TFun, TList, TProd, Type, contains_function, spines
 
 from typing import TYPE_CHECKING
@@ -324,3 +331,23 @@ def _fp_leq(left: Fingerprint, right: Fingerprint) -> bool:
     return all(
         _fp_leq(l, r) for l, r in zip(left_body[1:], right_body[1:], strict=True)
     )
+
+
+def kleene_solve(
+    program: Program, d: int | None = None, memoize: bool = False
+) -> tuple[AbstractEvaluator, AbsEnv]:
+    """The paper's analysis of ``program`` as written (§3.5): the whole
+    letrec knot solved jointly by Kleene iteration from bottom, over the
+    ``B_e`` chain bounded by ``d`` (default: the program's spine bound).
+
+    Infers ``program`` in place, then returns the evaluator (its chain,
+    traces and step count) and the solved environment.  No production
+    path calls it: it is the reference the worklist evaluator is tested
+    against, and what the Appendix A.1 benchmarks print.
+    """
+    infer_program(program)
+    evaluator = AbstractEvaluator(
+        BeChain(d if d is not None else program_spine_bound(program)),
+        memoize=memoize,
+    )
+    return evaluator, evaluator.solve_bindings(program.letrec, {})

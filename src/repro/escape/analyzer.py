@@ -60,7 +60,6 @@ class EscapeAnalysis:
         meter: "BudgetMeter | None" = None,
         session: AnalysisSession | None = None,
         store: "AnalysisStore | None" = None,
-        engine: str | None = None,
     ):
         self.program = program
         #: Optional budget meter from the hardened engine
@@ -87,20 +86,13 @@ class EscapeAnalysis:
                 raise AnalysisError(
                     "store conflicts with the session's attached store"
                 )
-            if engine is not None and engine != session.engine:
-                raise AnalysisError(
-                    f"engine={engine!r} conflicts with the session's "
-                    f"engine={session.engine!r}"
-                )
             self.session = session
         else:
             self.session = AnalysisSession(
-                program, d=d, max_iterations=max_iterations, store=store, engine=engine
+                program, d=d, max_iterations=max_iterations, store=store
             )
         self.d_override = self.session.d_override
         self.max_iterations = self.session.max_iterations
-        #: The fixpoint engine the session solves on ("worklist"/"legacy").
-        self.engine = self.session.engine
         #: The most recent solve — exposes fixpoint traces to callers.
         self.last_solved: SolvedProgram | None = None
 
@@ -264,10 +256,9 @@ class EscapeAnalysis:
         return [spine_count(t) for t in fun_args(fn_type)[0]]
 
     def sharing_classes(self) -> dict[str, frozenset[str]]:
-        """May-share name classes from the worklist engine's union-find
-        partition (empty under the legacy engine): per binding, the names
-        its value may share structure with — the coarse companion to the
-        Theorem-2 top-spine bound."""
+        """May-share name classes from the worklist evaluator's union-find
+        partition: per binding, the names its value may share structure
+        with — the coarse companion to the Theorem-2 top-spine bound."""
         self.solve(None)
         return self.session.sharing_classes()
 

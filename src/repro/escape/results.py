@@ -84,13 +84,10 @@ class EscapeResults(Protocol):
     The optimizations (:mod:`repro.opt`), the static checker
     (:mod:`repro.check`), and the sharing analysis
     (:mod:`repro.analysis.sharing`) all take their facts through this
-    surface, never through engine internals — which is what lets the
-    legacy and worklist fixpoint engines stay interchangeable behind
-    :class:`~repro.escape.analyzer.EscapeAnalysis`.
+    surface, never through the evaluator's internals, so the fixpoint
+    solver behind :class:`~repro.escape.analyzer.EscapeAnalysis` can change
+    without touching them.
     """
-
-    #: Which fixpoint engine answers queries ("legacy" or "worklist").
-    engine: str
 
     def solve(self, pins: "dict[str, Type] | None" = None) -> "SolvedProgram": ...
 

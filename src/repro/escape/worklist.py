@@ -1,12 +1,14 @@
 """The worklist fixpoint engine over the flat IR (:mod:`repro.ir`).
 
-This is the production replacement for the AST-walking Kleene iteration of
-:class:`~repro.escape.abstract.AbstractEvaluator` (kept as the ``legacy``
-differential-testing oracle).  Same lattice, same transfer functions, same
-least fixpoint — the chaotic-iteration theorem guarantees the limit of a
-monotone system does not depend on evaluation order, so per-binding lattice
-*fingerprints are bit-identical* between the two engines — but the work is
-organised around change instead of rounds:
+This is the analysis's only production evaluator.  It replaces the
+AST-walking Kleene iteration of
+:class:`~repro.escape.abstract.AbstractEvaluator`, which stays as its base
+class and, through :func:`~repro.escape.abstract.kleene_solve`, as the
+reference it is tested against.  Same lattice, same transfer functions,
+same least fixpoint — the chaotic-iteration theorem guarantees the limit
+of a monotone system does not depend on evaluation order, so per-binding
+lattice *fingerprints are bit-identical* to the reference's — but the work
+is organised around change instead of rounds:
 
 * each letrec binding is lowered once to a :class:`~repro.ir.nodes.Block`
   (one instruction per AST node, explicit def–use edges, per-instruction
@@ -29,9 +31,8 @@ organised around change instead of rounds:
 
 Budget accounting matches the hardened engine's expectations: every
 transfer eval ticks ``meter.tick_eval()`` (so ``max_eval_steps`` and
-deadlines cut the worklist short exactly like legacy eval steps) and every
-binding evaluation ticks ``tick_iteration()`` — a breached budget degrades
-to ``W^τ`` through the same code paths.
+deadlines cut the worklist short) and every binding evaluation ticks
+``tick_iteration()`` — a breached budget degrades to ``W^τ``.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class WorklistEvaluator(AbstractEvaluator):
     Shares the full public surface of :class:`AbstractEvaluator` (``eval``,
     ``solve_bindings``, ``steps``, ``traces``, ``iterates``, ``memo``,
     ``values_equal``/``value_leq``), so closures, serialization, and the
-    escape tests are engine-agnostic.  ``steps`` counts *transfer evals* —
+    escape tests run unchanged on either.  ``steps`` counts *transfer evals* —
     instructions actually executed — the quantity reported as
     ``worklist_evals``.
     """
@@ -393,7 +394,7 @@ class WorklistEvaluator(AbstractEvaluator):
                 iterates.append(dict(current))
 
         if widened:
-            # Safety net, same as legacy: widen to the worst case.
+            # Safety net, same as the reference: widen to the worst case.
             for binding in bindings:
                 current[binding.name] = EscapeValue(
                     self.chain.top, worst_fun(binding.expr.ty)

@@ -73,7 +73,7 @@ def cache_stats(events: Iterable[dict]) -> dict[str, int]:
         elif etype == "query_stats":
             out["queries"] += 1
             out["eval_steps"] += event["eval_steps"]
-            # Optional extra (absent in legacy-engine and older traces).
+            # Optional extra (absent in older traces).
             out["worklist_evals"] += event.get("worklist_evals", 0)
         elif etype == "store_hit":
             out["store_hits"] += 1

@@ -56,9 +56,8 @@ from repro.analysis.heap_liveness import (
     encode_summary,
     summarize_scc,
 )
-from repro.escape.abstract import AbsEnv, AbstractEvaluator, FixpointTrace
+from repro.escape.abstract import AbsEnv, FixpointTrace
 from repro.escape.domain import EscapeValue
-from repro.escape.engine import default_engine, make_evaluator, validate_engine
 from repro.escape.lattice import BeChain
 from repro.escape.scc import binding_sccs
 from repro.escape.serialize import (
@@ -68,6 +67,7 @@ from repro.escape.serialize import (
     encode_entry,
 )
 from repro.escape.serialize import CODEC_VERSION as _CODEC_VERSION
+from repro.escape.worklist import AliasPartition, WorklistEvaluator
 from repro.lang.ast import Letrec, Program, Var, clone_program, uncurry_app
 from repro.lang.errors import AnalysisError
 from repro.lang.fingerprint import (
@@ -90,7 +90,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Version of the digest derivation itself.  Chained into every SCC digest
 #: together with the value-codec version, so changing either the key
 #: material or the payload representation retires all previously stored
-#: entries at once.  Version 2 added the engine name to the key material.
+#: entries at once.  Version 2 added the evaluator's name, ``"worklist"``,
+#: to the key material.
 DIGEST_VERSION = 2
 
 
@@ -99,7 +100,6 @@ def scc_digest(
     d: int,
     max_iterations: int | None,
     dependencies: dict[str, str],
-    engine: str | None = None,
 ) -> str:
     """The stable provenance digest of one SCC's fixpoint.
 
@@ -108,17 +108,16 @@ def scc_digest(
     share a digest exactly when their typed bindings and the full analysis
     provenance beneath them agree, along with every analysis-relevant
     configuration knob (``d`` and the iteration cap both change abstract
-    values, so they are key material, not metadata).  The ``engine`` is key
-    material too: legacy and worklist fixpoints must agree extensionally,
-    but a stored entry's closures replay on the engine that produced them,
-    so entries from different engines never collide in the store.
+    values, so they are key material, not metadata).  The literal
+    ``"worklist"`` is key material from the time two evaluators shared the
+    store; it stays so that every stored entry keeps its key.
     """
     return stable_digest(
         [
             "scc",
             DIGEST_VERSION,
             _CODEC_VERSION,
-            engine if engine is not None else default_engine(),
+            "worklist",
             typed_fingerprint,
             d,
             max_iterations,
@@ -143,7 +142,7 @@ class SolvedProgram:
     """
 
     inference: InferenceResult
-    evaluator: AbstractEvaluator
+    evaluator: WorklistEvaluator
     env: AbsEnv
     d: int
     program: Program
@@ -193,9 +192,8 @@ class QueryStats:
     store_hits: int = 0
     store_misses: int = 0
     store_writes: int = 0
-    #: Transfer evaluations performed by the worklist engine — equal to
-    #: ``eval_steps`` when the query ran on the worklist engine (the engines
-    #: count different units under the same total), zero under legacy.
+    #: Transfer evaluations over the IR — the unit the worklist evaluator
+    #: counts its ``eval_steps`` in, so always equal to ``eval_steps``.
     worklist_evals: int = 0
 
     def add(self, other: "QueryStats") -> None:
@@ -248,7 +246,7 @@ class _SCCEntry:
     iterates: list[AbsEnv]
     base_env: AbsEnv
     iterations: int
-    #: the worklist engine's may-share classes for this component
+    #: the worklist evaluator's may-share classes for this component
     #: (name -> sorted members), persisted with the fixpoint so a store
     #: hit reproduces the complete result, sharing partition included
     sharing: dict = field(default_factory=dict)
@@ -263,7 +261,7 @@ class _Sharing:
     """Where one program's may-share classes come from: the evaluators its
     solves created and the SCC entries they touched (hits included)."""
 
-    evaluators: list[AbstractEvaluator] = field(default_factory=list)
+    evaluators: list[WorklistEvaluator] = field(default_factory=list)
     scc_classes: list[dict] = field(default_factory=list)
 
 
@@ -291,7 +289,7 @@ class _Tiers:
         #: Every evaluator the family ever created.  Cached closure values
         #: tick their *creating* evaluator, so a query's meter must be
         #: installed on all of them, and cleared afterwards.
-        self.evaluators: list[AbstractEvaluator] = []
+        self.evaluators: list[WorklistEvaluator] = []
         #: program fingerprint -> its sharing sources, so each program's
         #: classes stay its own however many sessions solve on it
         self.sharing: dict[str, _Sharing] = {}
@@ -307,7 +305,7 @@ class AnalysisSession:
     duration of a query) live in tiers it shares with every session
     derived from it.  ``parent`` is how :meth:`derive` builds such a
     session; a derived session takes its configuration (``d``,
-    ``max_iterations``, store, engine) from the parent.
+    ``max_iterations``, store) from the parent.
     """
 
     def __init__(
@@ -316,26 +314,20 @@ class AnalysisSession:
         d: int | None = None,
         max_iterations: int | None = None,
         store: "AnalysisStore | None" = None,
-        engine: str | None = None,
         parent: "AnalysisSession | None" = None,
     ):
         self.program = program
         if parent is not None:
-            if (d, max_iterations, store, engine) != (None, None, None, None):
+            if (d, max_iterations, store) != (None, None, None):
                 raise AnalysisError(
                     "a derived session takes its configuration from its parent"
                 )
             d, max_iterations = parent.d_override, parent.max_iterations
-            engine = parent.engine
             self._tiers = parent._tiers
         else:
             self._tiers = _Tiers(store)
         self.d_override = d
         self.max_iterations = max_iterations
-        #: The fixpoint engine every evaluator of this session runs on
-        #: (``None`` resolves the process default once, at construction, so
-        #: a session never mixes engines mid-life).
-        self.engine = validate_engine(engine) if engine is not None else default_engine()
         self.store = self._tiers.store
         # Base inference: exposes the (possibly polymorphic) schemes and
         # stamps the caller's AST with the default instance, as the
@@ -421,11 +413,8 @@ class AnalysisSession:
                 steps = sum(e.steps for e in self._tiers.evaluators) - self._steps_at_begin
                 current.eval_steps += steps
                 self.stats.eval_steps += steps
-                if self.engine == "worklist":
-                    # Same total, finer unit: every step of a worklist
-                    # evaluator is one transfer eval over the IR.
-                    current.worklist_evals += steps
-                    self.stats.worklist_evals += steps
+                current.worklist_evals += steps
+                self.stats.worklist_evals += steps
                 self.stats.last_query = current
                 self._current = None
                 obs.emit(
@@ -442,12 +431,9 @@ class AnalysisSession:
                     worklist_evals=current.worklist_evals,
                 )
 
-    def _new_evaluator(self, chain: BeChain) -> AbstractEvaluator:
-        evaluator = make_evaluator(
-            self.engine,
-            chain,
-            max_iterations=self.max_iterations,
-            meter=self._active_meter,
+    def _new_evaluator(self, chain: BeChain) -> WorklistEvaluator:
+        evaluator = WorklistEvaluator(
+            chain, max_iterations=self.max_iterations, meter=self._active_meter
         )
         self._tiers.evaluators.append(evaluator)
         self._sharing.evaluators.append(evaluator)
@@ -461,30 +447,19 @@ class AnalysisSession:
                 setattr(target, name, getattr(target, name) + delta)
 
     def sharing_classes(self) -> dict[str, frozenset[str]]:
-        """May-share name classes from the worklist engine's union-find
-        partitions, merged across every solve this session ran.  Empty
-        under the legacy engine, which tracks no aliasing.
+        """May-share name classes from the worklist evaluators' union-find
+        partitions, merged across every solve this session ran.
 
         Merging re-unions each evaluator's classes into one fresh
         partition, so the result stays a genuine partition (transitively
         closed) even when different evaluators grouped overlapping names
         differently."""
-        from repro.escape.worklist import AliasPartition
-
         merged = AliasPartition()
-        seen = False
-        for evaluator in self._sharing.evaluators:
-            classes = getattr(evaluator, "sharing_classes", None)
-            if classes is None:
-                continue
-            for name, names in classes().items():
-                seen = True
-                merged.union(("name", name), *(("name", n) for n in names))
-        for classes in self._sharing.scc_classes:
+        sources = [e.sharing_classes() for e in self._sharing.evaluators]
+        for classes in sources + self._sharing.scc_classes:
             for name, names in classes.items():
-                seen = True
                 merged.union(("name", name), *(("name", n) for n in names))
-        return merged.name_classes() if seen else {}
+        return merged.name_classes()
 
     # -- solving -----------------------------------------------------------
 
@@ -634,7 +609,6 @@ class AnalysisSession:
                 d,
                 self.max_iterations,
                 {name: provenance[name] for name in dep_names},
-                engine=self.engine,
             )
             closure = frozenset(scc.names).union(
                 *(transitive[name] for name in dep_names)
@@ -666,9 +640,7 @@ class AnalysisSession:
                         scc_evaluator = self._new_evaluator(chain)
                         knot = Letrec(bindings=scc.bindings, body=program.body)
                         solved_env = scc_evaluator.solve_bindings(knot, env)
-                        classes = getattr(
-                            scc_evaluator, "sharing_classes", None
-                        )
+                        classes = scc_evaluator.sharing_classes()
                         try:
                             summaries = summarize_scc(
                                 scc.bindings, dict(liveness_env), cap=d + 1
@@ -689,9 +661,7 @@ class AnalysisSession:
                             iterations=max(0, len(scc_evaluator.iterates) - 1),
                             sharing={
                                 name: sorted(members)
-                                for name, members in (
-                                    classes().items() if classes else ()
-                                )
+                                for name, members in classes.items()
                             },
                             liveness=scc_liveness,
                         )

@@ -107,7 +107,6 @@ class HardenedAnalysis:
         max_iterations: int | None = None,
         max_retries: int = 1,
         store=None,
-        engine: str | None = None,
     ):
         self.program = program
         self.budget = budget or AnalysisBudget()
@@ -130,12 +129,8 @@ class HardenedAnalysis:
         #: see no eval steps and no fixpoint iterations for it (a corrupt
         #: entry degrades to a charged re-solve, never to a wrong answer).
         self.session = AnalysisSession(
-            program, d=d, max_iterations=max_iterations, store=store, engine=engine
+            program, d=d, max_iterations=max_iterations, store=store
         )
-        #: The fixpoint engine the session runs on; the worklist engine
-        #: charges meters one ``tick_eval`` per transfer eval, so budget
-        #: breaches degrade to W^τ exactly like legacy eval steps.
-        self.engine = self.session.engine
 
     # -- plumbing ----------------------------------------------------------
 

@@ -31,9 +31,9 @@ The degraded-answer contract mirrors the CLI exit taxonomy: a response the
 engine had to cut short is still HTTP **200** with ``"degraded": true``
 and ``"exit_code": 3`` — degradation is service, not failure.  Only an
 input that cannot be answered soundly at all (unparseable, untypeable —
-there is no ``W^τ`` without a type) is a client error (400), and only an
-unexpected internal fault is a 500; both still carry a structured JSON
-body, so *every* request is answered.
+there is no ``W^τ`` without a type) or a malformed request field is a
+client error (400), and only an unexpected internal fault is a 500; both
+still carry a structured JSON body, so *every* request is answered.
 
 Identical in-flight requests are **coalesced** by content digest: the
 first becomes the leader, concurrent duplicates wait on its result and are
@@ -65,8 +65,7 @@ import repro.check.lint  # noqa: F401
 import repro.machine.compiler  # noqa: F401
 import repro.machine.verify  # noqa: F401
 import repro.opt.driver  # noqa: F401
-from repro.check import check_program
-from repro.escape.engine import validate_engine
+from repro.check import CHECK_PASSES, check_program
 from repro.escape.report import result_dict, stats_dict
 from repro.lang.errors import NmlError
 from repro.lang.parser import parse_program
@@ -95,6 +94,27 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: How long a coalesced follower waits for its leader before giving up
 #: (generous: the leader itself is deadline-bounded).
 COALESCE_WAIT_S = 120.0
+
+
+def _field_error(payload: dict) -> "str | None":
+    """What is wrong with the request's ``d``, ``deadline_ms`` or
+    ``passes``, if anything.  Checked before any work runs, so a malformed
+    field is answered 400 and never charges the circuit breaker."""
+    d = payload.get("d")
+    if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
+        return f'"d" must be a non-negative integer, not {d!r}'
+    deadline_ms = payload.get("deadline_ms")
+    if deadline_ms is not None and (
+        isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float))
+    ):
+        return f'"deadline_ms" must be a number, not {deadline_ms!r}'
+    passes = payload.get("passes")
+    if passes is not None and not (
+        isinstance(passes, list)
+        and all(isinstance(name, str) and name in CHECK_PASSES for name in passes)
+    ):
+        return f'"passes" must be a list of {", ".join(CHECK_PASSES)}, not {passes!r}'
+    return None
 
 
 def request_digest(endpoint: str, payload: dict) -> str:
@@ -245,6 +265,9 @@ class AnalysisService:
                 "error": 'request body must be a JSON object with a "source" string',
                 "exit_code": 1,
             }
+        error = _field_error(payload)
+        if error is not None:
+            return 400, {"ok": False, "error": error, "exit_code": 1}
         if not self.resilience.breaker.allow(key):
             # Known-bad target: the sound immediate answer, not a worker.
             return 200, {
@@ -272,13 +295,11 @@ class AnalysisService:
         return status, doc
 
     def _do_analyze(self, program, payload: dict) -> tuple[int, dict]:
-        requested = payload.get("engine")
         engine = HardenedAnalysis(
             program,
             budget=AnalysisBudget(deadline_s=self._deadline_s(payload)),
             d=payload.get("d"),
             store=self.store,
-            engine=validate_engine(requested) if requested is not None else None,
         )
         names = (
             [payload["function"]]
@@ -308,7 +329,7 @@ class AnalysisService:
             "ok": True,
             "degraded": degraded,
             "exit_code": 3 if degraded else 0,
-            "engine": engine.engine,
+            "engine": "worklist",
             "results": results,
             "stats": stats_dict(engine.session.stats),
         }

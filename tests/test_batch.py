@@ -367,38 +367,6 @@ class TestInputValidation:
         assert "no such file" in capsys.readouterr().err
 
 
-class TestLegacyDeprecationWarning:
-    """The legacy-engine warning is a driver concern: exactly once per
-    run, regardless of --jobs N (each worker used to re-print it)."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        from repro.escape.engine import reset_legacy_warning
-
-        reset_legacy_warning()
-        yield
-        reset_legacy_warning()
-
-    def test_parallel_batch_warns_exactly_once(self, corpus, capfd):
-        from repro.escape.engine import LEGACY_DEPRECATION
-
-        args = ["batch", str(corpus), "--no-store", "--jobs", "2",
-                "--engine", "legacy"]
-        assert main(args) == 0
-        err = capfd.readouterr().err
-        assert err.count(LEGACY_DEPRECATION) == 1
-
-    def test_serial_batch_warns_exactly_once(self, corpus, capfd):
-        from repro.escape.engine import LEGACY_DEPRECATION
-
-        assert main(["batch", str(corpus), "--no-store", "--engine", "legacy"]) == 0
-        assert capfd.readouterr().err.count(LEGACY_DEPRECATION) == 1
-
-    def test_worklist_engine_does_not_warn(self, corpus, capfd):
-        assert main(["batch", str(corpus), "--no-store", "--engine", "worklist"]) == 0
-        assert "deprecated" not in capfd.readouterr().err
-
-
 def pid_worker(*args) -> FileReport:
     """:func:`analyze_one`, plus the pid of the process that answered."""
     report = analyze_one(*args)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import _parse_observer_arg, main
+from repro.cli import _parse_observer_arg, build_parser, main
 from repro.escape.exact import Source
 from repro.lang.prelude import prelude_source
 
@@ -193,6 +193,45 @@ class TestDisasm:
         assert "closure append(x)" in out
         assert "branch" in out
         assert "push_prim cons" in out
+
+
+class TestArgumentParsing:
+    """The CLI never expands an abbreviated long option, and ``--engine``
+    is gone from every subcommand."""
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_d_is_not_deadline_ms(self, command, append_file, capsys):
+        # argparse would otherwise read ``--d 2`` as ``--deadline-ms 2``.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, append_file, "--d", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --d 2" in capsys.readouterr().err
+
+    def test_batch_d_sets_the_chain_bound(self, append_file, capsys):
+        assert main(["batch", append_file, "--no-store", "--d", "2", "--json"]) == 0
+        assert [f["d"] for f in json.loads(capsys.readouterr().out)["files"]] == [2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "{file}"],
+            ["analyze", "{file}"],
+            ["optimize", "{file}"],
+            ["trace", "{file}"],
+            ["batch", "{file}", "--no-store"],
+            ["diff", "snapshot", "{file}", "--out", "{dir}", "--no-store"],
+            ["serve"],
+            ["check", "{file}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if "{" not in a),
+    )
+    def test_engine_flag_is_rejected(self, argv, append_file, tmp_path, capsys):
+        # Parse only: were the flag accepted, ``serve`` would start serving.
+        args = [a.format(file=append_file, dir=tmp_path / "out") for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(args + ["--engine", "worklist"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestRobustFlags:

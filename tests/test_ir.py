@@ -1,21 +1,15 @@
 """The flat IR and the worklist engine: lowering shape (one instruction
 per AST node, explicit def–use edges, spans preserved), dependency sets,
-pretty listings, engine selection, the alias partition, and the worklist
-evaluator's incremental execution and parity with the legacy oracle."""
+pretty listings, the store digest, the alias partition, and the worklist
+evaluator's incremental execution and parity with the paper's Kleene
+iteration (the reference, formerly the ``legacy`` engine)."""
 
 import pytest
 
-from repro.escape.abstract import AbstractEvaluator, fingerprint
+from repro.escape.abstract import AbstractEvaluator, fingerprint, kleene_solve
 from repro.escape.analyzer import EscapeAnalysis
 from repro.escape.domain import BOTTOM, EscapeValue
-from repro.escape.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    default_engine,
-    make_evaluator,
-    use_engine,
-    validate_engine,
-)
+from repro.escape.global_test import run_global_test
 from repro.escape.lattice import BeChain, Escapement
 from repro.escape.worklist import AliasPartition, WorklistEvaluator
 from repro.ir import OPS, lower_expr, lower_program, pretty_block, pretty_blocks
@@ -24,9 +18,9 @@ from repro.lang.errors import AnalysisError
 from repro.lang.parser import parse_expr, parse_program
 from repro.lang.prelude import paper_partition_sort, prelude_program
 from repro.obs import RingBufferSink, Tracer, activate
-from repro.query import AnalysisSession, scc_digest
+from repro.query import DIGEST_VERSION, scc_digest
 from repro.types.infer import infer_expr
-from repro.types.types import BOOL, INT, TList, TypeScheme
+from repro.types.types import BOOL, INT, TList, TypeScheme, arity
 
 
 def typed(source: str, **env_types):
@@ -166,60 +160,16 @@ class TestAliasPartition:
         assert classes["z"] == frozenset({"z"})
 
 
-class TestEngineSelection:
-    def test_validate_engine(self):
-        for engine in ENGINES:
-            assert validate_engine(engine) == engine
-        with pytest.raises(AnalysisError, match="unknown analysis engine"):
-            validate_engine("quantum")
+class TestStoreDigest:
+    """Stored SCC fixpoints are keyed by :func:`scc_digest`; a change to its
+    key material silently cold-starts every existing store."""
 
-    def test_worklist_is_the_default(self):
-        assert DEFAULT_ENGINE == "worklist"
-        assert default_engine() == "worklist"
+    def test_digest_version_is_pinned(self):
+        assert DIGEST_VERSION == 2
 
-    def test_use_engine_scopes_and_restores(self):
-        assert default_engine() == "worklist"
-        with use_engine("legacy"):
-            assert default_engine() == "legacy"
-            session = AnalysisSession(paper_partition_sort())
-            assert session.engine == "legacy"
-        assert default_engine() == "worklist"
-
-    def test_use_engine_rejects_unknown(self):
-        with pytest.raises(AnalysisError):
-            with use_engine("quantum"):
-                pass  # pragma: no cover
-        assert default_engine() == "worklist"
-
-    def test_make_evaluator_dispatch(self):
-        chain = BeChain(2)
-        worklist = make_evaluator("worklist", chain)
-        legacy = make_evaluator("legacy", chain)
-        assert isinstance(worklist, WorklistEvaluator)
-        assert isinstance(legacy, AbstractEvaluator)
-        assert not isinstance(legacy, WorklistEvaluator)
-
-    def test_session_validates_engine(self):
-        with pytest.raises(AnalysisError):
-            AnalysisSession(paper_partition_sort(), engine="quantum")
-
-    def test_analysis_rejects_conflicting_session_engine(self):
-        program = paper_partition_sort()
-        session = AnalysisSession(program, engine="legacy")
-        with pytest.raises(AnalysisError, match="conflicts with the session"):
-            EscapeAnalysis(program, session=session, engine="worklist")
-        # matching request is fine
-        analysis = EscapeAnalysis(program, session=session, engine="legacy")
-        assert analysis.engine == "legacy"
-
-    def test_engine_is_digest_key_material(self):
-        kwargs = dict(typed_fingerprint="tf", d=2, max_iterations=None, dependencies={})
-        assert scc_digest(engine="legacy", **kwargs) != scc_digest(
-            engine="worklist", **kwargs
-        )
-        # None means "the process default"
-        assert scc_digest(engine=None, **kwargs) == scc_digest(
-            engine=default_engine(), **kwargs
+    def test_scc_digest_is_pinned(self):
+        assert scc_digest("fp", 2, None, {}) == (
+            "eb46470cb8d8f410dcb7ad6f4a3483ad944f6d44403f0445207815717044c89a"
         )
 
 
@@ -236,17 +186,17 @@ class TestWorklistEvaluator:
             (typed("lambda y. x", x=TList(INT)), {"x": E11}),
         ]
         for expr, env in cases:
-            legacy = AbstractEvaluator(BeChain(2)).eval(expr, dict(env))
+            reference = AbstractEvaluator(BeChain(2)).eval(expr, dict(env))
             worklist = self.ev().eval(expr, dict(env))
-            assert worklist.be == legacy.be
+            assert worklist.be == reference.be
 
     def test_unbound_variable_error_matches_legacy(self):
         expr = parse_expr("x")
-        with pytest.raises(AnalysisError) as legacy_err:
+        with pytest.raises(AnalysisError) as reference_err:
             AbstractEvaluator(BeChain(2)).eval(expr, {})
         with pytest.raises(AnalysisError) as worklist_err:
             self.ev().eval(expr, {})
-        assert str(worklist_err.value) == str(legacy_err.value)
+        assert str(worklist_err.value) == str(reference_err.value)
 
     def test_incremental_reexecution_skips_unchanged(self):
         e = self.ev()
@@ -277,39 +227,40 @@ class TestWorklistEvaluator:
 
     def test_fixpoint_fingerprints_match_legacy(self):
         program = paper_partition_sort()
-        legacy = EscapeAnalysis(program, engine="legacy")
-        worklist = EscapeAnalysis(paper_partition_sort(), engine="worklist")
-        solved_l = legacy.solve(None)
-        solved_w = worklist.solve(None)
-        chain = solved_l.evaluator.chain
+        evaluator, env = kleene_solve(program)
+        worklist = EscapeAnalysis(paper_partition_sort())
+        solved = worklist.solve(None)
         for name in ("append", "split", "ps"):
-            ty = legacy.scheme(name).body
-            fp_l = fingerprint(solved_l.env[name], ty, chain)
-            fp_w = fingerprint(solved_w.env[name], ty, solved_w.evaluator.chain)
-            assert str(fp_w) == str(fp_l)
+            ty = program.binding(name).expr.ty
+            fp_reference = fingerprint(env[name], ty, evaluator.chain)
+            fp_w = fingerprint(solved.env[name], ty, solved.evaluator.chain)
+            assert str(fp_w) == str(fp_reference)
 
     def test_global_results_match_legacy(self):
-        legacy = EscapeAnalysis(paper_partition_sort(), engine="legacy")
-        worklist = EscapeAnalysis(paper_partition_sort(), engine="worklist")
+        program = paper_partition_sort()
+        evaluator, env = kleene_solve(program)
+        worklist = EscapeAnalysis(paper_partition_sort())
         for name in ("append", "split", "ps"):
+            ty = program.binding(name).expr.ty
             assert [str(r.result) for r in worklist.global_all(name)] == [
-                str(r.result) for r in legacy.global_all(name)
+                str(run_global_test(evaluator, env, name, ty, i).result)
+                for i in range(1, arity(ty) + 1)
             ]
 
     def test_worklist_does_far_less_work(self):
-        legacy = EscapeAnalysis(paper_partition_sort(), engine="legacy")
-        worklist = EscapeAnalysis(paper_partition_sort(), engine="worklist")
-        for analysis in (legacy, worklist):
-            for name in ("append", "split", "ps"):
-                analysis.global_all(name)
-        assert worklist.stats.eval_steps * 10 <= legacy.stats.eval_steps
+        program = paper_partition_sort()
+        evaluator, env = kleene_solve(program)
+        worklist = EscapeAnalysis(paper_partition_sort())
+        for name in ("append", "split", "ps"):
+            worklist.global_all(name)
+            ty = program.binding(name).expr.ty
+            for i in range(1, arity(ty) + 1):
+                run_global_test(evaluator, env, name, ty, i)
+        assert worklist.stats.eval_steps * 10 <= evaluator.steps
         assert worklist.stats.worklist_evals == worklist.stats.eval_steps
-        assert legacy.stats.worklist_evals == 0
 
     def test_iteration_cap_widens(self):
-        analysis = EscapeAnalysis(
-            paper_partition_sort(), engine="worklist", max_iterations=1
-        )
+        analysis = EscapeAnalysis(paper_partition_sort(), max_iterations=1)
         analysis.solve(None)
         assert analysis.last_solved is not None
         assert all(t.widened for t in analysis.last_solved.traces)
@@ -323,7 +274,7 @@ class TestWorklistEvaluator:
             e.solve_bindings(expr, {})
 
     def test_sharing_classes_reflexive_and_symmetric(self):
-        analysis = EscapeAnalysis(paper_partition_sort(), engine="worklist")
+        analysis = EscapeAnalysis(paper_partition_sort())
         analysis.solve(None)
         classes = analysis.sharing_classes()
         assert classes, "solve should populate the alias partition"
@@ -334,13 +285,8 @@ class TestWorklistEvaluator:
                     assert classes[other] == cls
 
     def test_sharing_classes_connect_the_callgraph(self):
-        analysis = EscapeAnalysis(paper_partition_sort(), engine="worklist")
+        analysis = EscapeAnalysis(paper_partition_sort())
         analysis.solve(None)
         classes = analysis.sharing_classes()
         # ps builds its result out of append/split applications
         assert "append" in classes["ps"] or "split" in classes["ps"]
-
-    def test_legacy_analysis_has_no_sharing_classes(self):
-        analysis = EscapeAnalysis(paper_partition_sort(), engine="legacy")
-        analysis.solve(None)
-        assert analysis.sharing_classes() == {}

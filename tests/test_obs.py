@@ -359,7 +359,7 @@ class TestWorklistEvents:
     @pytest.fixture
     def worklist_trace(self):
         ring = RingBufferSink(capacity=None)
-        analysis = EscapeAnalysis(paper_partition_sort(), engine="worklist")
+        analysis = EscapeAnalysis(paper_partition_sort())
         with activate(Tracer(sinks=[ring])):
             for name in ("append", "split", "ps"):
                 analysis.global_all(name)
@@ -399,17 +399,6 @@ class TestWorklistEvents:
         assert "worklist:" in report
         assert "hottest instructions:" in report
         assert "transfer eval(s)" in report
-
-    def test_legacy_engine_emits_no_worklist_events(self):
-        ring = RingBufferSink()
-        analysis = EscapeAnalysis(paper_partition_sort(), engine="legacy")
-        with activate(Tracer(sinks=[ring])):
-            analysis.global_all("append")
-        types = {e["type"] for e in ring.events}
-        assert not types & {"ir_lower", "worklist_push", "worklist_pop",
-                            "transfer_eval"}
-        stats = worklist_stats(ring.events)
-        assert stats.pops == 0 and not stats.instr_costs
 
 
 class TestRuntimeEvents:

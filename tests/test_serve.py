@@ -126,6 +126,45 @@ def test_parse_error_is_400_with_formatted_error(service):
     assert "expected" in doc["error"] or "parse" in doc["error"].lower()
 
 
+@pytest.mark.parametrize(
+    "endpoint, fields",
+    [
+        ("analyze", {"d": "abc"}),
+        ("analyze", {"d": -1}),
+        ("analyze", {"d": True}),
+        ("analyze", {"deadline_ms": "x"}),
+        ("optimize", {"deadline_ms": "x"}),
+        ("check", {"passes": "lint"}),
+        ("check", {"passes": ["lint", "bogus"]}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else repr(value),
+)
+def test_malformed_field_is_400_and_never_charges_the_breaker(
+    service, endpoint, fields
+):
+    malformed = {"source": APPEND, **fields}
+    for _ in range(4):  # one past the breaker threshold of 3
+        status, doc = service.handle(endpoint, malformed)
+        assert status == 400 and not doc["ok"] and doc["exit_code"] == 1
+    status, doc = service.handle(endpoint, {"source": APPEND})
+    assert status == 200 and "circuit" not in doc
+
+
+def test_well_formed_fields_answer_exactly(service):
+    status, doc = service.handle(
+        "analyze", {"source": APPEND, "d": 2, "deadline_ms": 5000}
+    )
+    assert status == 200 and not doc["degraded"]
+    status, doc = service.handle("check", {"source": APPEND, "passes": ["lint"]})
+    assert status == 200 and doc["ok"]
+
+
+def test_engine_key_is_ignored(service):
+    status, doc = service.handle("analyze", {"source": APPEND, "engine": "legacy"})
+    assert status == 200 and not doc["degraded"]
+    assert doc["engine"] == "worklist"
+
+
 def test_injected_fault_is_500_with_json_body(service):
     with faults.inject(FaultPlan(stage_faults=(StageFault("serve", at=1),))):
         status, doc = service.handle("analyze", {"source": APPEND})
