@@ -42,7 +42,6 @@ from repro.robust.errors import (
     classify,
     reason_for,
 )
-from repro.types.infer import infer_program
 from repro.types.types import Type, fun_args
 
 
@@ -93,10 +92,11 @@ class HardenedAnalysis:
     >>> engine.global_test("append", 1).exact
     True
 
-    Construction runs type inference once (fatal if the program is
-    untypeable — without types there is no ``W^τ``) and records every
-    binding's parameter types, so degraded answers can be produced even
-    when a later, budgeted solve never finishes.
+    Construction opens the query session, whose base inference types the
+    program once (fatal if the program is untypeable — without types there
+    is no ``W^τ``), and records every binding's parameter types from the
+    annotations that inference stamped, so degraded answers can be
+    produced even when a later, budgeted solve never finishes.
     """
 
     def __init__(
@@ -113,12 +113,6 @@ class HardenedAnalysis:
         self.d = d
         self.max_iterations = max_iterations
         self.max_retries = max_retries
-        # Fatal on failure, by design: an untypeable program has no W^τ.
-        infer_program(program)
-        self._param_types: dict[str, tuple[Type, ...]] = {}
-        for name in program.binding_names():
-            ty = program.binding(name).expr.ty
-            self._param_types[name] = tuple(fun_args(ty)[0]) if ty is not None else ()
         #: One query session shared by every query (and retry attempt) of
         #: this engine: repeated questions hit the solve/SCC caches, so a
         #: per-query budget is charged only for the cache *misses* the
@@ -131,6 +125,10 @@ class HardenedAnalysis:
         self.session = AnalysisSession(
             program, d=d, max_iterations=max_iterations, store=store
         )
+        self._param_types: dict[str, tuple[Type, ...]] = {}
+        for name in program.binding_names():
+            ty = program.binding(name).expr.ty
+            self._param_types[name] = tuple(fun_args(ty)[0]) if ty is not None else ()
 
     # -- plumbing ----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.opt.driver import (
     apply_stack_decision,
     plan_optimizations,
 )
+from repro.query import AnalysisSession
 from repro.semantics.interp import run_program
 
 
@@ -83,6 +84,7 @@ def harden_optimize(
     budget: AnalysisBudget | None = None,
     validate: bool = False,
     collector: "str | None" = None,
+    session: "AnalysisSession | None" = None,
 ) -> HardenedPipelineResult:
     """Plan and apply every licensed optimization, degrading soundly.
 
@@ -94,6 +96,12 @@ def harden_optimize(
     armed — a collector-induced misbehaviour (wrong result, sanitizer
     halt) discards the transforms exactly like any other validation
     failure.
+
+    One query session (``session``, or one opened here for ``program``)
+    serves the survey and every rewrite step: each step asks its escape
+    facts through a session derived from it, so facts the survey already
+    solved are cache hits, and a store attached to ``session`` is read
+    and written by all of them.
     """
     meter = (budget or AnalysisBudget()).start()
     result = HardenedPipelineResult(program=program)
@@ -102,7 +110,9 @@ def harden_optimize(
     try:
         faults.check_stage("plan")
         meter.check_deadline()
-        plan = plan_optimizations(program, meter=meter)
+        if session is None:
+            session = AnalysisSession(program)
+        plan = plan_optimizations(program, meter=meter, session=session)
     except Exception as error:
         if classify(error) is Severity.FATAL:
             raise
@@ -121,12 +131,12 @@ def harden_optimize(
             faults.check_stage(decision.kind)
             meter.check_deadline()
             if decision.kind == "reuse":
-                current, step_log = apply_reuse_decision(current, decision)
+                current, step_log = apply_reuse_decision(current, decision, session)
             elif decision.kind == "stack":
-                current, step_log = apply_stack_decision(current)
+                current, step_log = apply_stack_decision(current, session)
                 stack_done = True
             else:
-                current, step_log = apply_block_decision(current, decision)
+                current, step_log = apply_block_decision(current, decision, session)
             result.applied.extend(step_log)
             obs.emit(
                 "transform_applied", kind=decision.kind, detail="; ".join(step_log)

@@ -145,12 +145,6 @@ class CircuitBreaker:
         self.clock = clock
         self._circuits: dict[str, _Circuit] = {}
 
-    def _get(self, target: str) -> _Circuit:
-        circuit = self._circuits.get(target)
-        if circuit is None:
-            circuit = self._circuits[target] = _Circuit()
-        return circuit
-
     def _transition(self, target: str, circuit: _Circuit, state: str) -> None:
         if circuit.state != state:
             circuit.state = state
@@ -174,12 +168,17 @@ class CircuitBreaker:
         return self.state(target) != OPEN
 
     def record_success(self, target: str) -> None:
-        circuit = self._get(target)
+        # A target that never failed has no circuit and stays without one:
+        # ``state`` answers closed for it, and a service that sees a new
+        # target per request must not keep (and snapshot) one per success.
+        circuit = self._circuits.get(target)
+        if circuit is None:
+            return
         circuit.failures = 0
         self._transition(target, circuit, CLOSED)
 
     def record_failure(self, target: str) -> None:
-        circuit = self._get(target)
+        circuit = self._circuits.setdefault(target, _Circuit())
         circuit.failures += 1
         if circuit.state == HALF_OPEN or circuit.failures >= self.failure_threshold:
             circuit.opened_at = self.clock()

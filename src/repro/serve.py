@@ -14,8 +14,9 @@ Endpoints (all JSON):
   "deadline_ms"?}`` → every global escape test, exact or degraded;
 * ``POST /check``    — ``{"source": ..., "passes"?}`` → the static
   checker's diagnostics and counts;
-* ``POST /optimize`` — ``{"source": ..., "validate"?, "deadline_ms"?}`` →
-  the hardened optimization pipeline's program + degradation report;
+* ``POST /optimize`` — ``{"source": ..., "validate"?, "deadline_ms"?,
+  "gc"?}`` → the hardened optimization pipeline's program + degradation
+  report, through one query session on the shared store;
 * ``GET /metrics``   — the registry as ``name{label=value} value`` lines
   (histograms include p50/p95/p99, so latency SLOs scrape directly);
 * ``GET /healthz``   — liveness;
@@ -76,6 +77,7 @@ from repro.obs.context import TraceContext
 from repro.obs.flight import FlightRecorder, dump_dir_from_env
 from repro.obs.metrics import MetricsRegistry
 from repro.options import COLLECTORS
+from repro.query import AnalysisSession
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
 from repro.robust.engine import HardenedAnalysis
@@ -97,9 +99,10 @@ COALESCE_WAIT_S = 120.0
 
 
 def _field_error(payload: dict) -> "str | None":
-    """What is wrong with the request's ``d``, ``deadline_ms`` or
-    ``passes``, if anything.  Checked before any work runs, so a malformed
-    field is answered 400 and never charges the circuit breaker."""
+    """What is wrong with the request's ``d``, ``deadline_ms``, ``passes``,
+    ``function`` or ``gc``, if anything.  Checked before any work runs, so
+    a malformed field is answered 400 and never charges the circuit
+    breaker."""
     d = payload.get("d")
     if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
         return f'"d" must be a non-negative integer, not {d!r}'
@@ -114,6 +117,12 @@ def _field_error(payload: dict) -> "str | None":
         and all(isinstance(name, str) and name in CHECK_PASSES for name in passes)
     ):
         return f'"passes" must be a list of {", ".join(CHECK_PASSES)}, not {passes!r}'
+    function = payload.get("function")
+    if function is not None and not isinstance(function, str):
+        return f'"function" must be a string, not {function!r}'
+    collector = payload.get("gc")
+    if collector is not None and collector not in COLLECTORS:
+        return f'"gc" must be one of {", ".join(COLLECTORS)}, not {collector!r}'
     return None
 
 
@@ -347,18 +356,12 @@ class AnalysisService:
         return 200, doc
 
     def _do_optimize(self, program, payload: dict) -> tuple[int, dict]:
-        collector = payload.get("gc", self.collector)
-        if collector is not None and collector not in COLLECTORS:
-            return 400, {
-                "ok": False,
-                "error": f"unknown collector {collector!r}; expected one of "
-                f"{', '.join(COLLECTORS)}",
-            }
         outcome = harden_optimize(
             program,
             budget=AnalysisBudget(deadline_s=self._deadline_s(payload)),
             validate=bool(payload.get("validate")),
-            collector=collector,
+            collector=payload.get("gc", self.collector),
+            session=AnalysisSession(program, store=self.store),
         )
         degraded = outcome.degraded
         return 200, {
@@ -407,6 +410,12 @@ class _Handler(BaseHTTPRequestHandler):
     quiet = True
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket (set by the stdlib's
+    # ``StreamRequestHandler.setup``).  A response leaves in two writes,
+    # headers then body; with Nagle's algorithm on, the body waits for the
+    # client's delayed ACK of the headers (40 ms on Linux) on every
+    # keep-alive request.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - debugging aid

@@ -24,6 +24,39 @@ def ps_analysis(partition_sort):
     return EscapeAnalysis(partition_sort)
 
 
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Live counts of type inferences and query sessions for noise-free
+    work gates: ``{"infer": n, "sessions": m}``.  Every ``repro`` module's
+    ``infer_program`` and ``AnalysisSession.__init__`` are wrapped for the
+    test's duration."""
+    import sys
+
+    import repro.query as query
+    import repro.types.infer as infer
+
+    counts = {"infer": 0, "sessions": 0}
+    original_infer = infer.infer_program
+
+    def counting_infer(*args, **kwargs):
+        counts["infer"] += 1
+        return original_infer(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "infer_program", None) is original_infer
+        ):
+            monkeypatch.setattr(module, "infer_program", counting_infer)
+    original_init = query.AnalysisSession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["sessions"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(query.AnalysisSession, "__init__", counting_init)
+    return counts
+
+
 #: (prelude functions to load, function under test, concrete args, 1-based
 #: interesting index) — every entry is exercised by the observer-vs-abstract
 #: safety tests and by differential interpreter tests.

@@ -158,40 +158,16 @@ class TestOneSessionPerFile:
         warm = self._snapshot_events(AnalysisStore(tmp_path / "store"))
         assert [e for e in warm if e["type"] == "scc_solve_start"] == []
 
-    def test_work_count_gate(self, monkeypatch):
+    def test_work_count_gate(self, work_counts):
         # A noise-free gate on the session sharing: one snapshot of the
         # paper's partition sort builds 5 sessions (the planner's, which
         # also serves the first reuse rewrite; one each for the second and
         # third reuse rewrites, the stack rewrite and the audit) and runs
         # type inference 11 times.  Fresh sessions per rewrite took 6
         # sessions and 17 inferences.
-        import sys
-
-        import repro.query as query
-        import repro.types.infer as infer
-
-        counts = {"infer": 0, "sessions": 0}
-        original_infer = infer.infer_program
-
-        def counting_infer(*args, **kwargs):
-            counts["infer"] += 1
-            return original_infer(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("repro") and (
-                getattr(module, "infer_program", None) is original_infer
-            ):
-                monkeypatch.setattr(module, "infer_program", counting_infer)
-        original_init = query.AnalysisSession.__init__
-
-        def counting_init(self, *args, **kwargs):
-            counts["sessions"] += 1
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(query.AnalysisSession, "__init__", counting_init)
         program = parse_program((EXAMPLES / "partition_sort.nml").read_text())
         snapshot_program(program, "partition_sort.nml")
-        assert counts == {"infer": 11, "sessions": 5}
+        assert work_counts == {"infer": 11, "sessions": 5}
 
 
 class TestCompare:

@@ -9,6 +9,8 @@ possibly unoptimized — program.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.escape.analyzer import EscapeAnalysis
@@ -24,6 +26,8 @@ from repro.lang.errors import (
     TypeInferenceError,
     UseAfterFreeError,
 )
+from repro.lang.parser import parse_program
+from repro.lang.pretty import pretty_program
 from repro.lang.prelude import (
     paper_map_pair,
     paper_partition_sort,
@@ -589,6 +593,78 @@ class TestHardenedPipeline:
         outcome = auto_reuse(partition_sort)
         assert outcome.steps
         assert not outcome.degraded
+
+
+# ---------------------------------------------------------------------------
+# one session per hardened front door
+# ---------------------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+#: examples/*.nml plus every 10th generated corpus program
+ORACLE_FILES = sorted(EXAMPLES.glob("*.nml")) + sorted(
+    (EXAMPLES / "generated").glob("gen-*.nml")
+)[::10]
+
+
+def _optimize_outcome(result) -> tuple:
+    return (
+        pretty_program(result.program),
+        result.applied,
+        [(d.reason, d.stage) for d in result.degradations],
+    )
+
+
+def _unshared_derive(self, program):
+    """``AnalysisSession.derive`` without the sharing: a rewrite gets tiers
+    of its own, so nothing an earlier step solved is reused."""
+    if program is self.program:
+        return self
+    return type(self)(program, d=self.d_override, max_iterations=self.max_iterations)
+
+
+class TestSharedSession:
+    """Noise-free work gates on the hardened front doors, and the oracle
+    that a store-backed session changes no ``harden_optimize`` answer."""
+
+    @pytest.mark.parametrize("name", ["partition_sort.nml", "reverse.nml"])
+    def test_hardened_analysis_infers_once(self, name, work_counts):
+        # The session's base inference types the program; the engine reads
+        # its parameter types from the annotations that inference stamped.
+        HardenedAnalysis(parse_program((EXAMPLES / name).read_text()))
+        assert work_counts == {"infer": 1, "sessions": 1}
+
+    def test_harden_optimize_work_count_gate(self, work_counts):
+        # One session serves the survey and every rewrite step: the
+        # planner's, which also serves the first reuse rewrite, plus one
+        # derived session each for the second and third reuse rewrites and
+        # the stack rewrite.
+        program = parse_program((EXAMPLES / "partition_sort.nml").read_text())
+        harden_optimize(program)
+        assert work_counts["sessions"] <= 4
+        assert work_counts["infer"] <= 8
+
+    @pytest.mark.parametrize(
+        "path", ORACLE_FILES, ids=lambda p: p.relative_to(EXAMPLES).as_posix()
+    )
+    def test_shared_and_store_backed_sessions_change_no_answer(
+        self, path, tmp_path, monkeypatch
+    ):
+        from repro.query import AnalysisSession
+        from repro.store import AnalysisStore
+
+        source = path.read_text()
+        with monkeypatch.context() as patch:
+            patch.setattr(AnalysisSession, "derive", _unshared_derive)
+            expected = _optimize_outcome(harden_optimize(parse_program(source)))
+        shared = harden_optimize(parse_program(source))
+        assert _optimize_outcome(shared) == expected
+        store = AnalysisStore(tmp_path / "store")
+        for run in ("cold", "warm"):
+            program = parse_program(source)
+            session = AnalysisSession(program, store=store)
+            outcome = harden_optimize(program, session=session)
+            assert _optimize_outcome(outcome) == expected, run
+        assert session.stats.store_hits > 0  # the warm run read the store
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,16 @@ through the wire, including the graceful-SIGTERM path of
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
 import signal
+import socket
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -136,6 +141,10 @@ def test_parse_error_is_400_with_formatted_error(service):
         ("optimize", {"deadline_ms": "x"}),
         ("check", {"passes": "lint"}),
         ("check", {"passes": ["lint", "bogus"]}),
+        ("analyze", {"function": ["rev"]}),
+        ("analyze", {"function": 3}),
+        ("optimize", {"gc": "bogus"}),
+        ("optimize", {"gc": ["mark-sweep"]}),
     ],
     ids=lambda value: value if isinstance(value, str) else repr(value),
 )
@@ -148,6 +157,14 @@ def test_malformed_field_is_400_and_never_charges_the_breaker(
         assert status == 400 and not doc["ok"] and doc["exit_code"] == 1
     status, doc = service.handle(endpoint, {"source": APPEND})
     assert status == 200 and "circuit" not in doc
+
+
+def test_malformed_field_is_answered_before_the_source_is_parsed(service):
+    status, doc = service.handle(
+        "optimize", {"source": "letrec ( in 3", "gc": "bogus"}
+    )
+    assert status == 400 and doc["exit_code"] == 1
+    assert doc["error"].startswith('"gc" must be one of')
 
 
 def test_well_formed_fields_answer_exactly(service):
@@ -174,6 +191,16 @@ def test_injected_fault_is_500_with_json_body(service):
 # ---------------------------------------------------------------------------
 # the service: breaker and coalescing
 # ---------------------------------------------------------------------------
+
+
+def test_successful_requests_leave_no_circuit(service):
+    # A client that sends a new source per keystroke must not grow the
+    # breaker: only a target that failed gets a circuit.
+    for i in range(300):
+        source = prelude_source(["append"], f"append [{i}] [3]")
+        status, _ = service.handle("analyze", {"source": source})
+        assert status == 200
+    assert service.resilience.breaker.snapshot() == {}
 
 
 def test_breaker_short_circuits_failing_digest_to_degraded():
@@ -222,6 +249,43 @@ def test_followers_coalesce_onto_the_leader(service):
     assert follower["doc"]["coalesced"] is True and follower["doc"]["ok"]
     # the leader's stored doc was copied, not mutated
     assert "coalesced" not in entry.doc
+
+
+def test_concurrent_requests_share_the_store_soundly(service):
+    # /analyze and /optimize read and write one store from every handler
+    # thread; whatever interleaving, each answer equals a store-less one.
+    sources = [
+        prelude_source(["append"], f"append [{i}, 2] [3]") for i in range(3)
+    ] + [REV]
+    reference = AnalysisService()
+    asked = [(e, s) for e in ("analyze", "optimize") for s in sources]
+
+    def answer(answering, endpoint, source):
+        status, doc = answering.handle(endpoint, {"source": source})
+        return status, doc.get("results"), doc.get("program"), doc.get("applied")
+
+    expected = {(e, s): answer(reference, e, s) for e, s in asked}
+    got: list = []
+
+    def client(offset):
+        for k in range(len(asked)):
+            endpoint, source = asked[(k + offset) % len(asked)]
+            got.append(((endpoint, source), answer(service, endpoint, source)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 6 * len(asked)
+    for key, value in got:
+        assert value == expected[key], key
 
 
 def test_leader_cleans_up_inflight_table(service):
@@ -335,6 +399,43 @@ def _post(base, endpoint, body: bytes):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def test_keepalive_round_trip_is_not_held_back_by_nagle(service):
+    # A response leaves in two writes (headers, then body).  With Nagle's
+    # algorithm on, the body waits for the client's delayed ACK, about
+    # 40 ms per keep-alive request on Linux; with TCP_NODELAY a /healthz
+    # round trip is well under a millisecond.
+    server = make_server("127.0.0.1", 0, service)
+    nodelay = []
+
+    class Recording(server.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+    server.RequestHandlerClass = Recording
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        round_trips = []
+        for _ in range(20):
+            started = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
+            round_trips.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(5.0)
+    assert len(nodelay) == 1 and nodelay[0]  # one connection, kept alive
+    assert statistics.median(round_trips) < 0.010
 
 
 def test_http_analyze_roundtrip(http_server):
