@@ -51,8 +51,8 @@ def test_w1_applied_plans_behave(benchmark):
     msort_program = prelude_program(["msort"], f"msort {literal(values)}")
 
     def run_both():
-        ps_opt, _ = apply_plan(plan_optimizations(ps_program))
-        msort_opt, _ = apply_plan(plan_optimizations(msort_program))
+        ps_opt = apply_plan(plan_optimizations(ps_program)).program
+        msort_opt = apply_plan(plan_optimizations(msort_program)).program
         return run_program(ps_opt), run_program(msort_opt), run_program(ps_program), run_program(msort_program)
 
     (ps_opt_res, ps_opt_m), (ms_opt_res, ms_opt_m), (ps_res, ps_m), (ms_res, ms_m) = (

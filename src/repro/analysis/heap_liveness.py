@@ -121,15 +121,6 @@ def _inc(d: "int | None", cap: int) -> "int | None":
     return d + 1
 
 
-def _leq(a: "int | None", b: "int | None") -> bool:
-    """Lattice order: finite depths by ``<=``, ``⊤`` above everything."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return a <= b
-
-
 def encode_depth(d: "int | None") -> "int | str":
     return "top" if d is None else int(d)
 
@@ -167,12 +158,6 @@ class LivenessSummary:
 
     params: "tuple[int | None, ...] | None"
     names: "tuple[tuple[str, int | None], ...]"
-
-    def name_depth(self, name: str) -> "int | None":
-        for key, depth in self.names:
-            if key == name:
-                return depth
-        return 0
 
 
 def encode_summary(summary: LivenessSummary) -> dict:

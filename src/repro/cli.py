@@ -396,7 +396,15 @@ def _cmd_analyze_robust(args: argparse.Namespace, program: Program) -> int:
     else:
         names = [args.function] if args.function else list(program.binding_names())
         for name in names:
-            for robust in engine.global_all(name):
+            try:
+                robust_results = engine.global_all(name)
+            except NmlError as error:
+                if args.json:
+                    doc["results"].append({"function": name, "error": error.message})
+                else:
+                    print(f"{name}: {error.message}")
+                continue
+            for robust in robust_results:
                 show(robust)
     if args.json:
         doc["degraded"] = bool(degraded)
@@ -456,7 +464,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     program = _load_program(args)
     if _wants_robust(args):
-        from repro.robust.pipeline import harden_optimize
+        from repro.opt.driver import harden_optimize
 
         outcome = harden_optimize(
             program, budget=_budget_from(args), validate=args.validate

@@ -156,7 +156,8 @@ def snapshot_program(program, rel: str, store=None, d: "int | None" = None,
     # through sessions derived from the planner's, so every fact whose
     # inputs fingerprint identically is a cache (or store) hit.
     plan = plan_optimizations(program, session=analysis.session)
-    optimized, steps = apply_plan(plan, session=analysis.session)
+    outcome = apply_plan(plan, session=analysis.session)
+    optimized = outcome.program
     report = check_program(optimized, path=rel, session=analysis.session)
 
     # Audit certification: a reuse decision stands only if the independent
@@ -229,7 +230,7 @@ def snapshot_program(program, rel: str, store=None, d: "int | None" = None,
         "liveness": liveness,
         "decisions": decisions,
         "decertified": decertified,
-        "optimize_log": list(steps),
+        "optimize_log": outcome.log,
         "diagnostics": {
             "counts": report.counts(),
             "by_rule": rule_counts,

@@ -12,7 +12,7 @@ an environment supplied at type-inference or evaluation time.
 
 from __future__ import annotations
 
-from repro.lang.ast import PRIMITIVES, Expr, If, Lambda, Letrec, Prim, Var
+from repro.lang.ast import PRIMITIVES, Expr, Lambda, Letrec, Prim, Var
 
 
 def resolve_expr(expr: Expr, bound: frozenset[str] = frozenset()) -> Expr:
@@ -41,18 +41,3 @@ def resolve_expr(expr: Expr, bound: frozenset[str] = frozenset()) -> Expr:
         return expr
     return expr.with_children(new_children)
 
-
-def bound_names(expr: Expr) -> frozenset[str]:
-    """All names bound anywhere in ``expr`` (lambda params and letrec names)."""
-    names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Lambda):
-            names.add(node.param)
-        elif isinstance(node, Letrec):
-            names.update(node.binding_names())
-        elif isinstance(node, If):
-            pass
-        stack.extend(node.children())
-    return frozenset(names)

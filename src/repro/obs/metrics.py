@@ -1,16 +1,15 @@
 """The unified metrics registry: namespaced counters, gauges, histograms.
 
-Before this layer existed, the repository had three disjoint counter pots —
-:class:`~repro.semantics.metrics.StorageMetrics` (runtime storage events),
-:class:`~repro.query.SessionStats` (query-engine cache accounting), and the
-hardened engine's :class:`~repro.robust.errors.BudgetSpent` meters — each
-with its own snapshot shape.  :class:`MetricsRegistry` subsumes them:
+Before this layer existed, the repository had disjoint counter pots —
+:class:`~repro.semantics.metrics.StorageMetrics` (runtime storage events)
+and :class:`~repro.query.SessionStats` (query-engine cache accounting) —
+each with its own snapshot shape.  :class:`MetricsRegistry` subsumes them:
 
 * one ``name{label=value,...}`` key syntax for every metric (the same
   labelled form ``StorageMetrics.snapshot`` now uses for
   ``region_allocs{kind=...}``);
-* ``ingest_storage`` / ``ingest_session`` / ``ingest_budget`` adapters that
-  fold each legacy pot into the registry under a namespace;
+* ``ingest_storage`` / ``ingest_session`` adapters that fold each legacy
+  pot into the registry under a namespace;
 * a :class:`~repro.obs.sinks.MetricsSink` that aggregates a live event
   stream into a registry, so benchmarks and the CLI get counters without
   holding references to interpreters or sessions.
@@ -134,9 +133,6 @@ class MetricsRegistry:
     def counter(self, name: str, /, **labels) -> float:
         return self._counters.get(metric_key(name, **labels), 0)
 
-    def gauge(self, name: str, /, **labels) -> float | None:
-        return self._gauges.get(metric_key(name, **labels))
-
     def histogram(self, name: str, /, **labels) -> Histogram | None:
         return self._histograms.get(metric_key(name, **labels))
 
@@ -180,10 +176,3 @@ class MetricsRegistry:
         queries = getattr(stats, "queries", None)
         if queries is not None:
             self.inc(prefix + "queries", queries)
-
-    def ingest_budget(self, spent, namespace: str = "budget") -> None:
-        """Fold a :class:`~repro.robust.errors.BudgetSpent`."""
-        prefix = f"{namespace}." if namespace else ""
-        self.observe(prefix + "wall_s", spent.wall_seconds)
-        self.inc(prefix + "eval_steps", spent.eval_steps)
-        self.inc(prefix + "iterations", spent.iterations)

@@ -8,13 +8,13 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     {
         "repro.opt.block_alloc": ("BlockAllocResult", "block_allocate_producer"),
         "repro.opt.driver": (
-            "Decision", "OptimizationPlan", "apply_plan", "plan_optimizations",
+            "Decision", "OptimizationPlan", "PipelineResult", "apply_plan",
+            "harden_optimize", "plan_optimizations",
         ),
         "repro.opt.liveness": ("uses_var", "var_used_after"),
         "repro.opt.pipeline": (
-            "PipelineResult", "auto_reuse", "paper_block_allocated",
-            "paper_ps_double_prime", "paper_ps_prime", "paper_rev_prime",
-            "paper_stack_allocated",
+            "paper_block_allocated", "paper_ps_double_prime", "paper_ps_prime",
+            "paper_rev_prime", "paper_stack_allocated",
         ),
         "repro.opt.reuse": (
             "ReuseResult", "make_reuse_specialization", "redirect_body_calls",

@@ -1,4 +1,5 @@
-"""The optimization driver: from analysis facts to an explicit plan.
+"""The optimization driver: from analysis facts to an explicit plan, and
+the one loop that applies it.
 
 ``plan_optimizations`` surveys a whole program and records every storage
 decision the escape + sharing facts license, with its justification — the
@@ -11,17 +12,21 @@ artifact a compiler would act on (and a user can audit):
 * *block* — result-call arguments produced by a top-level function whose
   product's top spine dies with the call (§A.3.3).
 
-``apply_plan`` then performs the safe subset mechanically: all reuse
-specializations are added, body calls are redirected to them when the
-actual argument is a literal (fresh, hence unshared), and the stack/block
-rewrites are applied when their decisions are present.
+``apply_plan`` then performs the plan mechanically, decision by decision
+in plan order: reuse specializations are added, body calls are redirected
+to them when the actual argument is a literal (fresh, hence unshared), and
+the stack/block rewrites are applied.  A step that cannot land is skipped
+and recorded; the program is never left partially transformed.
+``harden_optimize`` is its budgeted caller: it plans under a budget, calls
+``apply_plan`` with the budget's meter, and optionally validates the result
+by running it against the original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.analysis.sharing import sharing_global
 from repro.escape.analyzer import EscapeAnalysis
 from repro.lang.ast import (
     App,
@@ -33,18 +38,26 @@ from repro.lang.ast import (
     uncurry_app,
     uncurry_lambda,
 )
-from repro.lang.errors import NO_SPAN, AnalysisError, NmlError, OptimizationError, SourceSpan
+from repro.lang.errors import NO_SPAN, AnalysisError, NmlError, SourceSpan
 from repro.obs import tracer as obs
 from repro.opt.block_alloc import block_allocate_producer
 from repro.opt.reuse import make_reuse_specialization, redirect_body_calls, select_reuse_sites
 from repro.opt.stack_alloc import stack_allocate_body
-from repro.robust.errors import BudgetExceeded
+from repro.query import AnalysisSession
+from repro.robust import faults
+from repro.robust.errors import (
+    BudgetExceeded,
+    BudgetSpent,
+    Degradation,
+    Severity,
+    classify,
+    reason_for,
+)
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.query import AnalysisSession
-    from repro.robust.budget import BudgetMeter
+    from repro.robust.budget import AnalysisBudget, BudgetMeter
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,51 @@ class OptimizationPlan:
         if not self.decisions:
             return "no storage optimization is licensed by the analysis\n"
         return "\n".join(str(d) for d in self.decisions) + "\n"
+
+
+#: How :attr:`PipelineResult.log` words a skipped step, by decision kind.
+_SKIP_TEXT = {
+    "reuse": "skip reuse {}",
+    "stack": "skip stack allocation",
+    "block": "skip block allocation of {}",
+}
+
+
+class PipelineResult(NamedTuple):
+    """A program plus what was done to it.
+
+    ``program`` is always valid: each step lands whole or not at all.
+    ``applied`` lists the steps taken, in order; ``degradations`` records
+    every step that was skipped — why, where, and the original exception —
+    so a skipped optimization is auditable, never silent.  A tuple, so
+    ``apply_plan(plan)[0]`` is the program.
+    """
+
+    program: Program
+    applied: list[str]
+    degradations: list[Degradation]
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.degradations)
+
+    @property
+    def log(self) -> list[str]:
+        """The applied steps, then one ``skip …`` line per skipped plan step
+        (what ``repro diff snapshot`` records as ``optimize_log``)."""
+        skipped = []
+        for degradation in self.degradations:
+            kind, _, function = degradation.stage.partition(":")
+            text = _SKIP_TEXT[kind].format(function) if kind in _SKIP_TEXT else f"skip {kind}"
+            skipped.append(f"{text}: {degradation.message}")
+        return [*self.applied, *skipped]
+
+    def summary(self) -> str:
+        lines = [f"applied: {step}" for step in self.applied]
+        lines += [str(d) for d in self.degradations]
+        if not lines:
+            lines = ["no storage optimization is licensed by the analysis"]
+        return "\n".join(lines) + "\n"
 
 
 def _is_literal_chain(expr: Expr) -> bool:
@@ -287,46 +345,155 @@ def apply_block_decision(
     ]
 
 
+def _degradation(
+    error: BaseException, stage: str, meter: "BudgetMeter | None"
+) -> Degradation:
+    # The record keeps the exception but not its traceback: the traceback's
+    # frames hold the caller's list of records, and that reference cycle
+    # would keep every frame's programs and sessions alive until the
+    # cyclic collector runs.
+    return Degradation(
+        reason=reason_for(error),
+        stage=stage,
+        message=str(error),
+        spent=meter.spent() if meter is not None else BudgetSpent(),
+        error=error.with_traceback(None),
+    )
+
+
 def apply_plan(
-    plan: OptimizationPlan, session: "AnalysisSession | None" = None
-) -> tuple[Program, list[str]]:
-    """Mechanically apply the plan's safe subset; returns the transformed
-    program and a log of the steps taken.  Inapplicable steps are skipped
-    and logged; the program is never left partially transformed because
-    each step either returns a complete fresh program or raises.
+    plan: OptimizationPlan,
+    session: "AnalysisSession | None" = None,
+    meter: "BudgetMeter | None" = None,
+) -> PipelineResult:
+    """Apply the plan's decisions in plan order; the one loop that does.
+
+    Before each step the fault stage named by the decision's kind
+    (:mod:`repro.robust.faults`) and, with ``meter``, the budget's deadline
+    are checked.  The body's stack rewrite covers every stack decision, so
+    it runs at most once.  A step that fails with an error
+    :func:`~repro.robust.errors.classify` does not call fatal is skipped
+    and recorded in ``degradations``; the next step starts from the last
+    good program, because each step either returns a complete fresh
+    program or raises.  Fatal errors propagate.
 
     With ``session`` (typically the planner's), every rewrite asks its
     escape facts through a session derived from it, so facts the planner
     already solved — and every binding a rewrite leaves unchanged — are
     cache hits.  Without it each rewrite analyzes from scratch."""
     program = plan.program
-    log: list[str] = []
-
-    for decision in plan.by_kind("reuse"):
+    applied: list[str] = []
+    degradations: list[Degradation] = []
+    stack_tried = False
+    for decision in plan.decisions:
+        if decision.kind == "stack":
+            if stack_tried:
+                continue
+            stack_tried = True
         try:
-            program, step_log = apply_reuse_decision(program, decision, session)
-            log.extend(step_log)
-            obs.emit("transform_applied", kind="reuse", detail="; ".join(step_log))
-        except OptimizationError as error:
-            log.append(f"skip reuse {decision.function}: {error.message}")
-            obs.emit("transform_skipped", kind="reuse", reason=error.message)
+            faults.check_stage(decision.kind)
+            if meter is not None:
+                meter.check_deadline()
+            if decision.kind == "reuse":
+                program, lines = apply_reuse_decision(program, decision, session)
+            elif decision.kind == "stack":
+                program, lines = apply_stack_decision(program, session)
+            else:
+                program, lines = apply_block_decision(program, decision, session)
+        except Exception as error:
+            if classify(error) is Severity.FATAL:
+                raise
+            obs.emit("transform_skipped", kind=decision.kind, reason=str(error))
+            degradations.append(
+                _degradation(error, f"{decision.kind}:{decision.function}", meter)
+            )
+            continue
+        applied.extend(lines)
+        obs.emit("transform_applied", kind=decision.kind, detail="; ".join(lines))
+    return PipelineResult(program, applied, degradations)
 
-    if plan.by_kind("stack"):
-        try:
-            program, step_log = apply_stack_decision(program, session)
-            log.extend(step_log)
-            obs.emit("transform_applied", kind="stack", detail="; ".join(step_log))
-        except OptimizationError as error:
-            log.append(f"skip stack allocation: {error.message}")
-            obs.emit("transform_skipped", kind="stack", reason=error.message)
 
-    for decision in plan.by_kind("block"):
-        try:
-            program, step_log = apply_block_decision(program, decision, session)
-            log.extend(step_log)
-            obs.emit("transform_applied", kind="block", detail="; ".join(step_log))
-        except OptimizationError as error:
-            log.append(f"skip block allocation of {decision.function}: {error.message}")
-            obs.emit("transform_skipped", kind="block", reason=error.message)
+def harden_optimize(
+    program: Program,
+    budget: "AnalysisBudget | None" = None,
+    validate: bool = False,
+    collector: "str | None" = None,
+    session: "AnalysisSession | None" = None,
+) -> PipelineResult:
+    """Plan and apply every licensed optimization under ``budget``,
+    degrading soundly: the result is always a correct (possibly
+    unoptimized) program plus a degradation report.
 
-    return program, log
+    A planning failure returns the input program.  Fatal errors
+    (untypeable program, tripped soundness tripwires outside the
+    validation run) propagate; everything else is recorded, and each
+    record is also emitted as a ``degradation`` event.
+
+    With ``validate=True`` the optimized program is run against the
+    original on the instrumented heap, under ``collector``
+    (:mod:`repro.semantics.gc`) with the GC armed when one is named.  Any
+    divergence or runtime tripwire discards every transform and records
+    why, so the optimized program is never returned unless it observably
+    behaves like the original.
+
+    One query session (``session``, or one opened here for ``program``)
+    serves the survey and every rewrite step, so facts the survey already
+    solved are cache hits, and a store attached to ``session`` is read and
+    written by all of them.
+    """
+    # Imported here: `repro check` loads this module and needs no budget.
+    from repro.robust.budget import AnalysisBudget
+
+    meter = (budget or AnalysisBudget()).start()
+    try:
+        faults.check_stage("plan")
+        meter.check_deadline()
+        if session is None:
+            session = AnalysisSession(program)
+        plan = plan_optimizations(program, meter=meter, session=session)
+    except Exception as error:
+        if classify(error) is Severity.FATAL:
+            raise
+        result = PipelineResult(program, [], [_degradation(error, "plan", meter)])
+    else:
+        result = apply_plan(plan, session=session, meter=meter)
+        if validate and result.program is not program:
+            failure = _validation_failure(program, result.program, collector)
+            if failure is not None:
+                result = PipelineResult(
+                    program,
+                    [],
+                    [*result.degradations, _degradation(failure, "validate", meter)],
+                )
+    for degradation in result.degradations:
+        obs.emit("degradation", reason=degradation.reason, stage=degradation.stage)
+    return result
+
+
+def _validation_failure(
+    original: Program, optimized: Program, collector: "str | None"
+) -> "Exception | None":
+    """Why ``optimized`` does not behave like ``original``, or ``None``."""
+    # Imported here: planning and applying need no runtime.
+    from repro.analysis.heap_liveness import analyze_program
+    from repro.semantics.interp import run_program
+
+    faults.check_stage("validate")
+    run_kwargs: dict = {"sanitize": True}
+    if collector is not None:
+        run_kwargs.update(auto_gc=True, gc_threshold=64, collector=collector)
+        if collector == "liveness":
+            facts = analyze_program(optimized)
+            run_kwargs["liveness"] = None if facts.degraded else facts.budget_map()
+    baseline, _ = run_program(original)  # failures here are the program's own
+    try:
+        result, _ = run_program(optimized, **run_kwargs)
+    except Exception as error:
+        # Anything wrong with the *transformed* program — including a
+        # tripped UseAfterFreeError — discards the transforms.
+        return error
+    if result != baseline:
+        return ValueError(
+            f"optimized program computed {result!r}, original computed {baseline!r}"
+        )
+    return None

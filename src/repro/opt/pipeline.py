@@ -16,43 +16,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.escape.analyzer import EscapeAnalysis
-from repro.escape.results import EscapeResults
-from repro.robust.errors import Degradation
-from repro.lang.ast import Program
 from repro.lang.prelude import paper_partition_sort, prelude_program
 from repro.opt.block_alloc import BlockAllocResult, block_allocate_producer
+from repro.opt.driver import PipelineResult
 from repro.opt.reuse import (
     make_reuse_specialization,
     redirect_body_calls,
     redirect_calls,
 )
 from repro.opt.stack_alloc import StackAllocResult, stack_allocate_body
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.query import AnalysisSession
-
-
-@dataclass
-class PipelineResult:
-    """A transformed program plus what was done to it.
-
-    ``degradations`` records every candidate that was *skipped* — an
-    analysis or transformation failure — with the original exception
-    preserved, so a skipped optimization is auditable, never silent.
-    """
-
-    program: Program
-    steps: list[str]
-    degradations: "list[Degradation]" = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.degradations)
 
 
 def paper_ps_prime(result: str = "ps [5, 2, 7, 1, 3, 4]") -> PipelineResult:
@@ -63,10 +35,11 @@ def paper_ps_prime(result: str = "ps [5, 2, 7, 1, 3, 4]") -> PipelineResult:
     program = redirect_calls(reuse.program, "ps", "append", "append_reuse")
     return PipelineResult(
         program=program,
-        steps=[
+        applied=[
             f"specialized append -> append_reuse ({reuse.rewritten_sites} DCONS site)",
             "redirected append calls inside ps to append_reuse",
         ],
+        degradations=[],
     )
 
 
@@ -83,11 +56,12 @@ def paper_ps_double_prime(result: str = "ps [5, 2, 7, 1, 3, 4]") -> PipelineResu
     program = redirect_body_calls(program, "ps", "ps_reuse")
     return PipelineResult(
         program=program,
-        steps=base.steps
+        applied=base.applied
         + [
             f"specialized ps -> ps_reuse ({reuse.rewritten_sites} DCONS site)",
             "redirected the program body to ps_reuse",
         ],
+        degradations=[],
     )
 
 
@@ -103,11 +77,12 @@ def paper_rev_prime(result: str = "rev [1, 2, 3, 4, 5]") -> PipelineResult:
     program = redirect_body_calls(program, "rev", "rev_reuse")
     return PipelineResult(
         program=program,
-        steps=[
+        applied=[
             f"specialized append -> append_reuse ({append_reuse.rewritten_sites} DCONS site)",
             f"specialized rev -> rev_reuse ({rev_reuse.rewritten_sites} DCONS site)",
             "redirected append inside rev_reuse and the body to the specializations",
         ],
+        degradations=[],
     )
 
 
@@ -122,69 +97,3 @@ def paper_block_allocated(n: int = 100) -> BlockAllocResult:
         ["append", "split", "ps", "create_list"], f"ps (create_list {n})"
     )
     return block_allocate_producer(program, "create_list")
-
-
-def auto_reuse(
-    program: Program,
-    analysis: EscapeResults | None = None,
-    session: "AnalysisSession | None" = None,
-) -> PipelineResult:
-    """Generic driver: reuse-specialize every (function, parameter) pair the
-    analysis proves reusable.  The specializations are *added*; call sites
-    are not redirected (that needs per-call sharing facts — see
-    :func:`redirect_calls`).
-
-    A function whose analysis fails, or a candidate whose specialization is
-    inapplicable, is skipped and recorded in ``degradations`` with the
-    original exception — budget breaches and unknown exceptions propagate.
-
-    ``session`` seeds the *initial* analysis with an existing query
-    session; once a specialization changes the program a fresh session is
-    started for the transformed program (its fingerprint differs).
-    """
-    from repro.lang.errors import AnalysisError, OptimizationError, TypeInferenceError
-    from repro.robust.errors import Degradation, reason_for
-
-    analysis = analysis or EscapeAnalysis(program, session=session)
-    steps: list[str] = []
-    degradations: list[Degradation] = []
-    for name in list(program.binding_names()):
-        try:
-            results = analysis.global_all(name)
-        except (AnalysisError, TypeInferenceError, OptimizationError) as error:
-            degradations.append(
-                Degradation(
-                    reason=reason_for(error),
-                    stage=f"analyze:{name}",
-                    message=str(error),
-                    error=error,
-                )
-            )
-            continue
-        for result in results:
-            if result.param_spines >= 1 and result.non_escaping_spines >= 1:
-                try:
-                    reuse = make_reuse_specialization(
-                        program,
-                        name,
-                        result.param_index,
-                        new_name=f"{name}_reuse{result.param_index}",
-                        analysis=analysis,
-                    )
-                except OptimizationError as error:
-                    degradations.append(
-                        Degradation(
-                            reason="optimization-skipped",
-                            stage=f"reuse:{name}:{result.param_index}",
-                            message=str(error),
-                            error=error,
-                        )
-                    )
-                    continue
-                program = reuse.program
-                analysis = EscapeAnalysis(program)
-                steps.append(
-                    f"{name} param {result.param_index} -> {reuse.new_name} "
-                    f"({reuse.rewritten_sites} site)"
-                )
-    return PipelineResult(program=program, steps=steps, degradations=degradations)

@@ -5,19 +5,21 @@
 * :mod:`repro.robust.budget`  — :class:`AnalysisBudget` (deadline + work
   limits) and its runtime :class:`BudgetMeter`;
 * :mod:`repro.robust.faults`  — deterministic fault injection;
-* :mod:`repro.robust.resilience` — the retry/backoff, circuit-breaker and
-  quarantine policy engine shared by the batch supervisor and the daemon;
+* :mod:`repro.robust.resilience` — deterministic-jitter retry backoff and
+  quarantine (the batch supervisor) and the per-target circuit breaker
+  (the daemon);
 * :mod:`repro.robust.chaos`   — seeded chaos schedules and the soak
   harness that asserts the always-answer invariant;
 * :mod:`repro.robust.engine`  — :class:`HardenedAnalysis`, escape queries
-  that degrade soundly to the ``W^τ`` worst case instead of failing;
-* :mod:`repro.robust.pipeline` — :func:`harden_optimize`, the optimization
-  pipeline that always yields a correct program plus a degradation report.
+  that degrade soundly to the ``W^τ`` worst case instead of failing.
+
+The budgeted optimizer, :func:`repro.opt.driver.harden_optimize`, lives
+with the one loop that applies optimization plans.
 
 The root exports lazily, like every package root.  That matters more here
 than elsewhere: the low-level modules are imported *by* the analysis and
-runtime layers (for budget metering and fault hooks), while ``engine`` and
-``pipeline`` import those layers in turn.
+runtime layers (for budget metering and fault hooks), while ``engine``
+imports those layers in turn.
 """
 
 from repro import _lazy_exports
@@ -33,10 +35,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         "repro.robust.faults": ("FaultInjector", "FaultPlan", "SlowStage", "StageFault"),
         "repro.robust.engine": ("HardenedAnalysis", "RobustResult"),
-        "repro.robust.pipeline": ("HardenedPipelineResult", "harden_optimize"),
         "repro.robust.resilience": (
-            "CircuitBreaker", "CircuitOpen", "Outcome", "Quarantine",
-            "QuarantineEntry", "Resilience", "ResiliencePolicy", "RetryPolicy",
+            "CircuitBreaker", "Quarantine", "QuarantineEntry", "RetryPolicy",
         ),
     },
     modules=("faults",),

@@ -127,12 +127,6 @@ class BudgetSpent:
     eval_steps: int = 0
     iterations: int = 0
 
-    def __str__(self) -> str:
-        return (
-            f"{self.wall_seconds * 1000:.1f}ms, {self.eval_steps} eval step(s), "
-            f"{self.iterations} fixpoint iteration(s)"
-        )
-
 
 @dataclass(frozen=True)
 class Degradation:
@@ -143,7 +137,9 @@ class Degradation:
     ``"analysis-failed"``, ``"optimization-skipped"``, ``"injected-fault"``,
     ``"allocation-failed"``, ``"validation-failed"``); ``stage`` names the
     engine stage that was cut short; ``error`` preserves the original
-    exception for post-mortems.
+    exception for post-mortems.  ``str`` leaves ``spent`` out: the text is
+    printed with the output it qualifies, which must not vary from run to
+    run with the wall clock.
     """
 
     reason: str
@@ -156,7 +152,7 @@ class Degradation:
         text = f"degraded [{self.reason}] at {self.stage}"
         if self.message:
             text += f": {self.message}"
-        return f"{text} (spent {self.spent})"
+        return text
 
 
 def reason_for(error: BaseException) -> str:

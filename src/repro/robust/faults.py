@@ -14,8 +14,10 @@ Stages currently instrumented:
   (:meth:`~repro.escape.abstract.AbstractEvaluator.solve_bindings`);
 * ``"query"``    — entry to one hardened-engine query attempt
   (:class:`~repro.robust.engine.HardenedAnalysis`);
-* ``"plan"``, ``"reuse"``, ``"stack"``, ``"block"``, ``"validate"`` — the
-  hardened optimization pipeline (:mod:`repro.robust.pipeline`);
+* ``"reuse"``, ``"stack"``, ``"block"`` — one optimization step of
+  :func:`~repro.opt.driver.apply_plan`; ``"plan"`` and ``"validate"`` —
+  the survey and the validation run of
+  :func:`~repro.opt.driver.harden_optimize`;
 * ``"store_load"``, ``"store_write"`` — the on-disk analysis store
   (:mod:`repro.store`): a ``store_load`` fault reads as a miss, a
   ``store_write`` fault loses the write (both are absorbed, by design);

@@ -1,12 +1,13 @@
-"""The resilience policy engine: retry, deadline, breaker, quarantine.
+"""Resilience policies: retry, circuit breaker, quarantine.
 
 The paper's ``W^τ`` worst case gives every consumer of the analysis a sound
 fallback answer, which turns "keep the service up" from a best-effort goal
 into a contract: *any* failure short of an untypeable input can be absorbed
 by degrading, retrying, or isolating — never by refusing to answer.  This
-module is the policy layer that the supervised batch driver
-(:mod:`repro.batch`) and the ``repro serve`` daemon (:mod:`repro.serve`)
-share:
+module holds the policy pieces: the supervised batch driver
+(:mod:`repro.batch`) runs its own retry loop with :class:`RetryPolicy` and
+:class:`Quarantine`, and the ``repro serve`` daemon (:mod:`repro.serve`)
+keeps one :class:`CircuitBreaker`:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   **deterministic** jitter: the delay for ``(key, attempt)`` is a pure
@@ -20,12 +21,6 @@ share:
   that exhausted its attempts is recorded (with every attempt's reason)
   and excluded, so one pathological file can never sink a batch or pin a
   worker pool.
-* :class:`Resilience` — composes the three around a callable for
-  *in-process* consumers (the daemon).  Deadlines in-process are
-  cooperative — enforced by the :class:`~repro.robust.budget.BudgetMeter`
-  the analysis ticks — while the batch supervisor enforces them
-  preemptively by killing worker processes; both express the same
-  :class:`ResiliencePolicy`.
 
 Every decision is observable: ``retry``, ``timeout``, ``quarantine`` and
 ``circuit_state`` events flow through :mod:`repro.obs` (schema-validated
@@ -40,18 +35,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs import tracer as obs
-from repro.robust.errors import Severity, classify, reason_for
 
-__all__ = [
-    "RetryPolicy",
-    "CircuitBreaker",
-    "CircuitOpen",
-    "Quarantine",
-    "QuarantineEntry",
-    "ResiliencePolicy",
-    "Resilience",
-    "Outcome",
-]
+__all__ = ["RetryPolicy", "CircuitBreaker", "Quarantine", "QuarantineEntry"]
 
 
 # -- retry with deterministic jitter -----------------------------------------
@@ -98,14 +83,6 @@ class RetryPolicy:
 
 
 # -- circuit breaker ---------------------------------------------------------
-
-
-class CircuitOpen(Exception):
-    """Raised (or recorded) when a target's circuit refuses the call."""
-
-    def __init__(self, target: str):
-        super().__init__(f"circuit open for target {target!r}")
-        self.target = target
 
 
 CLOSED = "closed"
@@ -241,119 +218,3 @@ class Quarantine:
 
     def to_json(self) -> list[dict]:
         return [entry.to_json() for entry in self.entries()]
-
-
-# -- the composed policy -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """One bundle of resilience configuration a consumer can thread around.
-
-    ``deadline_s`` bounds one *attempt*: cooperatively (budget meter) for
-    in-process execution, preemptively (worker kill) under the batch
-    supervisor.  ``None`` disables the bound.
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    deadline_s: float | None = None
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 5.0
-
-    def make_breaker(self, clock=time.monotonic) -> CircuitBreaker:
-        return CircuitBreaker(
-            failure_threshold=self.breaker_threshold,
-            cooldown_s=self.breaker_cooldown_s,
-            clock=clock,
-        )
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """What :meth:`Resilience.run` produced for one key.
-
-    Exactly one of three shapes:
-
-    * ``ok``          — ``value`` holds the callable's result;
-    * circuit refusal — ``circuit_open`` is True, no attempt was made;
-    * exhausted       — ``quarantined`` is True and the entry records every
-      attempt's failure.
-    """
-
-    key: str
-    value: object = None
-    ok: bool = False
-    attempts: int = 0
-    circuit_open: bool = False
-    quarantined: bool = False
-    reason: str = ""
-    errors: tuple[str, ...] = ()
-
-
-class Resilience:
-    """Run callables under one policy, with shared breaker and quarantine.
-
-    The daemon holds one instance for its whole lifetime, so failure
-    history accumulates across requests (that is what makes the breaker
-    and quarantine useful); the batch driver builds one per run.
-    """
-
-    def __init__(
-        self,
-        policy: ResiliencePolicy | None = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
-    ):
-        self.policy = policy or ResiliencePolicy()
-        self.breaker = self.policy.make_breaker(clock=clock)
-        self.quarantine = Quarantine()
-        self._sleep = sleep
-
-    def run(self, key: str, fn) -> Outcome:
-        """Call ``fn()`` for ``key`` under the policy.
-
-        Fatal errors (per :func:`repro.robust.errors.classify`) propagate —
-        there is nothing sound to retry toward; every other failure is
-        retried with backoff until the policy is exhausted, at which point
-        the key is quarantined and the failure history returned.
-        """
-        if key in self.quarantine:
-            return Outcome(key=key, quarantined=True, reason="quarantined")
-        if not self.breaker.allow(key):
-            return Outcome(key=key, circuit_open=True, reason="circuit-open")
-        retry = self.policy.retry
-        errors: list[str] = []
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                value = fn()
-            except Exception as error:
-                if classify(error) is Severity.FATAL:
-                    self.breaker.record_failure(key)
-                    raise
-                errors.append(f"{type(error).__name__}: {error}")
-                self.breaker.record_failure(key)
-                if retry.should_retry(attempt):
-                    delay = retry.delay(key, attempt)
-                    obs.emit(
-                        "retry",
-                        key=key,
-                        attempt=attempt,
-                        delay_s=round(delay, 9),
-                        reason=reason_for(error),
-                    )
-                    self._sleep(delay)
-                    continue
-                entry = self.quarantine.add(
-                    key, attempts=attempt, reason=reason_for(error), errors=errors
-                )
-                return Outcome(
-                    key=key,
-                    attempts=attempt,
-                    quarantined=True,
-                    reason=entry.reason,
-                    errors=tuple(errors),
-                )
-            self.breaker.record_success(key)
-            return Outcome(key=key, value=value, ok=True, attempts=attempt)

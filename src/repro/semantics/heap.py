@@ -377,9 +377,6 @@ class Heap:
                 stack.append(value.snd)
         return seen
 
-    def live_heap_count(self) -> int:
-        return sum(1 for cell in self.cells.values() if cell.kind is AllocKind.HEAP)
-
     # -- spine decomposition (Definition 1 / Figure 1) -----------------------------
 
     def spine_map(self, value: Value, max_level: int = 64) -> dict[Cell, set[int]]:

@@ -106,9 +106,6 @@ class Env:
     def bind(self, name: str, value: Value) -> "Env":
         return Env(self, {name: value})
 
-    def bind_many(self, frame: dict[str, Value]) -> "Env":
-        return Env(self, dict(frame))
-
     def lookup(self, name: str) -> Value:
         env: Env | None = self
         while env is not None:
@@ -158,14 +155,3 @@ def expect_int(value: Value, context: str, node: Expr | None = None) -> int:
         raise EvalError(f"{context}: expected an int, got {value}", node.span if node else None)
     return value.value
 
-
-def expect_bool(value: Value, context: str, node: Expr | None = None) -> bool:
-    if not isinstance(value, VBool):
-        raise EvalError(f"{context}: expected a bool, got {value}", node.span if node else None)
-    return value.value
-
-
-def expect_list(value: Value, context: str, node: Expr | None = None) -> Value:
-    if not isinstance(value, (VNil, VCons)):
-        raise EvalError(f"{context}: expected a list, got {value}", node.span if node else None)
-    return value

@@ -5,8 +5,8 @@ composed from pieces that already exist: the hardened engine's ``W^τ``
 degradation (a request can *always* be answered, just more weakly), the
 content-addressed :class:`~repro.store.AnalysisStore` (cross-request SCC
 warmth), the :class:`~repro.obs.metrics.MetricsRegistry` (scraped at
-``/metrics``), and the resilience policy engine
-(:mod:`repro.robust.resilience`) for per-target circuit breaking.
+``/metrics``), and a :class:`~repro.robust.resilience.CircuitBreaker` for
+per-target circuit breaking.
 
 Endpoints (all JSON):
 
@@ -59,13 +59,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 # The whole handler stack is imported here, before the daemon listens, so
 # no request pays for an import and no two handler threads import the same
-# modules at once.  The checker's passes import their modules when they
-# first run, so those modules are named here.
+# modules at once.  The checker's passes, and the validation run of
+# ``/optimize``, import their modules when they first run, so those modules
+# are named here.
 import repro.check.audit  # noqa: F401
 import repro.check.lint  # noqa: F401
 import repro.machine.compiler  # noqa: F401
 import repro.machine.verify  # noqa: F401
-import repro.opt.driver  # noqa: F401
+import repro.semantics.interp  # noqa: F401
 from repro.check import CHECK_PASSES, check_program
 from repro.escape.report import result_dict, stats_dict
 from repro.lang.errors import NmlError
@@ -77,12 +78,12 @@ from repro.obs.context import TraceContext
 from repro.obs.flight import FlightRecorder, dump_dir_from_env
 from repro.obs.metrics import MetricsRegistry
 from repro.options import COLLECTORS
+from repro.opt.driver import harden_optimize
 from repro.query import AnalysisSession
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
 from repro.robust.engine import HardenedAnalysis
-from repro.robust.pipeline import harden_optimize
-from repro.robust.resilience import Resilience, ResiliencePolicy, RetryPolicy
+from repro.robust.resilience import CircuitBreaker
 from repro.store import AnalysisStore
 
 __all__ = ["AnalysisService", "make_server", "serve"]
@@ -147,17 +148,17 @@ class _InFlight:
 class AnalysisService:
     """The transport-independent request engine behind the daemon.
 
-    Owns the shared store, the metrics registry, the resilience state
-    (circuit breaker per request digest), and the in-flight coalescing
-    table.  :meth:`handle` is thread-safe — the HTTP layer calls it from
-    one thread per connection.
+    Owns the shared store, the metrics registry, the circuit breaker
+    (one circuit per request digest that failed), and the in-flight
+    coalescing table.  :meth:`handle` is thread-safe — the HTTP layer
+    calls it from one thread per connection.
     """
 
     def __init__(
         self,
         store_root: "str | None" = None,
         default_deadline_ms: "float | None" = None,
-        policy: ResiliencePolicy | None = None,
+        breaker: CircuitBreaker | None = None,
         metrics: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
         collector: "str | None" = None,
@@ -177,14 +178,9 @@ class AnalysisService:
         self.flight = flight or FlightRecorder(
             dump_dir=dump_dir_from_env(), label="serve-flight"
         )
-        self.resilience = Resilience(
-            policy
-            or ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=1),  # retries live client-side
-                breaker_threshold=3,
-                breaker_cooldown_s=5.0,
-            )
-        )
+        # Retries live client-side; the daemon only stops re-running a
+        # request that keeps failing.
+        self.breaker = breaker or CircuitBreaker(failure_threshold=3, cooldown_s=5.0)
         self._inflight: dict[str, _InFlight] = {}
         self._lock = threading.Lock()
         self.started_at = time.time()
@@ -226,7 +222,7 @@ class AnalysisService:
                     "error": f"{type(error).__name__}: {error}",
                     "exit_code": 1,
                 }
-                self.resilience.breaker.record_failure(key)
+                self.breaker.record_failure(key)
             doc["trace_id"] = ctx.trace_id
             entry.status, entry.doc = status, doc
             with self._lock:
@@ -248,7 +244,7 @@ class AnalysisService:
             "serve.latency_s", time.perf_counter() - started, endpoint=endpoint
         )
         open_targets = sum(
-            1 for state in self.resilience.breaker.snapshot().values() if state == "open"
+            1 for state in self.breaker.snapshot().values() if state == "open"
         )
         self.metrics.set_gauge("serve.circuit_open_targets", open_targets)
         obs.emit(
@@ -277,7 +273,7 @@ class AnalysisService:
         error = _field_error(payload)
         if error is not None:
             return 400, {"ok": False, "error": error, "exit_code": 1}
-        if not self.resilience.breaker.allow(key):
+        if not self.breaker.allow(key):
             # Known-bad target: the sound immediate answer, not a worker.
             return 200, {
                 "ok": True,
@@ -300,7 +296,7 @@ class AnalysisService:
                 "error": error.format(),
                 "exit_code": 1,
             }
-        self.resilience.breaker.record_success(key)
+        self.breaker.record_success(key)
         return status, doc
 
     def _do_analyze(self, program, payload: dict) -> tuple[int, dict]:

@@ -15,12 +15,12 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         "repro.types.spines": (
             "annotate_cars", "argument_spines", "car_spine_count",
-            "cons_result_spines", "cons_sites", "program_spine_bound",
+            "program_spine_bound",
         ),
         "repro.types.types": (
             "BOOL", "INT", "TBool", "TFun", "TInt", "TList", "TProd", "TVar",
             "Type", "TypeScheme", "arity", "contains_function", "fresh_tvar",
-            "free_type_vars", "fun_args", "is_list_type", "list_of",
+            "free_type_vars", "fun_args", "list_of",
             "max_spines_in", "spines",
         ),
         "repro.types.unify": ("Substitution", "unify"),

@@ -8,7 +8,7 @@ these helpers read the annotation off the node types.
 
 from __future__ import annotations
 
-from repro.lang.ast import App, Expr, Prim, Program, walk
+from repro.lang.ast import Prim, Program, walk
 from repro.lang.errors import AnalysisError
 from repro.types.types import TFun, TList, Type, max_spines_in, spines
 
@@ -25,18 +25,6 @@ def car_spine_count(prim: Prim) -> int:
         raise AnalysisError("primitive is not type-annotated; run infer_program first", prim.span)
     assert isinstance(prim.ty, TFun) and isinstance(prim.ty.arg, TList)
     return spines(prim.ty.arg)
-
-
-def cons_result_spines(prim: Prim) -> int:
-    """Spine count of the list a ``cons``/``dcons`` occurrence builds."""
-    if prim.name not in ("cons", "dcons"):
-        raise AnalysisError(f"cons_result_spines on {prim.name!r}")
-    if prim.ty is None:
-        raise AnalysisError("primitive is not type-annotated; run infer_program first", prim.span)
-    args_ty = prim.ty
-    while isinstance(args_ty, TFun):
-        args_ty = args_ty.result
-    return spines(args_ty)
 
 
 def program_spine_bound(program: Program) -> int:
@@ -76,17 +64,3 @@ def argument_spines(fn_type: Type, n_args: int) -> list[int]:
         result.append(spines(ty.arg))
         ty = ty.result
     return result
-
-
-def cons_sites(program: Program) -> list[App]:
-    """All saturated ``cons`` applications in the program (allocation sites)."""
-    sites: list[App] = []
-    for node in walk(program.letrec):
-        if (
-            isinstance(node, App)
-            and isinstance(node.fn, App)
-            and isinstance(node.fn.fn, Prim)
-            and node.fn.fn.name == "cons"
-        ):
-            sites.append(node)
-    return sites

@@ -215,10 +215,6 @@ def contains_function(ty: Type) -> bool:
     return False
 
 
-def is_list_type(ty: Type) -> bool:
-    return isinstance(ty, TList)
-
-
 def list_of(ty: Type, depth: int = 1) -> Type:
     """``ty list list ...`` with ``depth`` list constructors."""
     for _ in range(depth):

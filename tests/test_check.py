@@ -263,7 +263,7 @@ class TestSharedSessionOracle:
         program = parse_program(path.read_text())
         session = EscapeAnalysis(program).session
         plan = plan_optimizations(program, session=session)
-        optimized, _ = apply_plan(plan, session=session)
+        optimized = apply_plan(plan, session=session).program
         fresh = check_program(optimized)
         shared = check_program(optimized, session=session)
         assert _findings(shared) == _findings(fresh)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from repro.check import CheckSeverity, check_program
 from repro.robust.errors import StorageSafetyError, UseAfterFreeError
-from repro.robust.pipeline import harden_optimize
+from repro.opt.driver import harden_optimize
 from repro.semantics.interp import run_program
 
 from .strategies import list_function_program

@@ -1,6 +1,7 @@
 """CLI tests: every subcommand, both program sources (file, -e), errors."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from repro.escape.exact import Source
 from repro.lang.prelude import prelude_source
 
 APPEND = prelude_source(["append"], "append [1, 2] [3]")
+#: A value binding (no arguments to analyze) next to a function.
+VALUE_BINDING = "xs = [1, 2]; id y = y; id xs"
+PARTITION_SORT = str(Path(__file__).resolve().parents[1] / "examples" / "partition_sort.nml")
 
 
 @pytest.fixture
@@ -279,6 +283,33 @@ class TestRobustFlags:
         captured = capsys.readouterr()
         assert code == 3
         assert "degraded" in captured.err
+
+    def test_robust_answers_every_function_past_a_value_binding(self, capsys):
+        assert main(["analyze", "-e", VALUE_BINDING, "--robust"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "xs: xs takes no arguments"
+        assert out[1].startswith("G(id, 1) = <1,0>")
+
+    def test_robust_json_records_a_value_binding_as_serve_does(self, capsys):
+        from repro.serve import AnalysisService
+
+        assert main(["analyze", "-e", VALUE_BINDING, "--robust", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        _, served = AnalysisService().handle("analyze", {"source": VALUE_BINDING})
+        assert doc["results"][0] == served["results"][0] == {
+            "function": "xs",
+            "error": "xs takes no arguments",
+        }
+        assert [entry["function"] for entry in doc["results"]] == ["xs", "id"]
+        assert doc["degraded"] is False
+
+    def test_optimize_robust_prints_the_same_bytes_every_run(self, capsys):
+        outputs = []
+        for _ in range(2):
+            main(["optimize", PARTITION_SORT, "--robust"])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "-- degraded" in outputs[0] and "spent" not in outputs[0]
 
     def test_run_sanitize_clean_program(self, append_file, capsys):
         assert main(["run", append_file, "--sanitize"]) == 0

@@ -52,13 +52,13 @@ class TestPlanning:
 class TestApplication:
     def test_apply_preserves_results(self, partition_sort):
         plan = plan_optimizations(partition_sort)
-        optimized, log = apply_plan(plan)
+        optimized, log, _ = apply_plan(plan)
         assert run_program(optimized)[0] == run_program(partition_sort)[0]
         assert any("DCONS" in line for line in log)
 
     def test_apply_redirects_literal_call(self, partition_sort):
         plan = plan_optimizations(partition_sort)
-        optimized, log = apply_plan(plan)
+        optimized, log, _ = apply_plan(plan)
         _, metrics = run_program(optimized)
         # the body call goes to ps_reuse, so cells are recycled
         assert metrics.reused > 0
@@ -67,13 +67,13 @@ class TestApplication:
     def test_apply_block_plan(self):
         program = prelude_program(["ps", "create_list"], "ps (create_list 10)")
         plan = plan_optimizations(program)
-        optimized, log = apply_plan(plan)
+        optimized = apply_plan(plan).program
         result, metrics = run_program(optimized)
         assert result == list(range(1, 11))
         assert metrics.block_reclaimed == 10
 
     def test_apply_improves_heap_traffic(self, partition_sort):
         _, baseline = run_program(partition_sort)
-        optimized, _ = apply_plan(plan_optimizations(partition_sort))
+        optimized = apply_plan(plan_optimizations(partition_sort)).program
         _, metrics = run_program(optimized)
         assert metrics.heap_allocs < baseline.heap_allocs

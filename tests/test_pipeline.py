@@ -1,12 +1,12 @@
-"""Pipeline recipes: the paper's PS', PS'', REV' and the generic driver —
-with differential correctness and storage-improvement assertions."""
+"""Pipeline recipes: the paper's PS', PS'', REV', stack and block
+allocation — with differential correctness and storage-improvement
+assertions."""
 
 import pytest
 
 from repro.bench.workloads import literal, random_int_list, reference_ps, reference_rev
 from repro.lang.prelude import prelude_program
 from repro.opt.pipeline import (
-    auto_reuse,
     paper_block_allocated,
     paper_ps_double_prime,
     paper_ps_prime,
@@ -89,20 +89,3 @@ class TestStackAndBlockRecipes:
         output, metrics = run_program(result.program)
         assert output == list(range(1, 10))
         assert metrics.block_reclaimed == 9
-
-
-class TestAutoReuse:
-    def test_adds_specializations_for_reusable_params(self, partition_sort):
-        result = auto_reuse(partition_sort)
-        names = result.program.binding_names()
-        assert "append_reuse1" in names
-        assert "ps_reuse1" in names
-        assert len(result.steps) >= 2
-
-    def test_auto_reuse_program_still_runs(self, partition_sort):
-        result = auto_reuse(partition_sort)
-        assert run_program(result.program)[0] == [1, 2, 3, 4, 5, 7]
-
-    def test_steps_are_descriptive(self, partition_sort):
-        result = auto_reuse(partition_sort)
-        assert all("->" in step for step in result.steps)

@@ -1,30 +1,20 @@
-"""The resilience policy engine: deterministic backoff, the per-target
-circuit breaker, poison-input quarantine, and their composition in
-:class:`~repro.robust.resilience.Resilience`.
+"""Resilience policies: deterministic backoff, the per-target circuit
+breaker, and poison-input quarantine.
 
 The properties that matter for the always-answer contract: delays are a
 pure function of ``(seed, key, attempt)`` (chaos runs replay exactly),
 breaker transitions follow closed → open → half-open → {closed, open}
-under an injected clock (no real waiting), quarantine keeps the full
-failure history, and ``Resilience.run`` maps every non-fatal failure mode
-onto exactly one :class:`~repro.robust.resilience.Outcome` shape.
+under an injected clock (no real waiting), and quarantine keeps the full
+failure history.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lang.errors import AnalysisError, TypeInferenceError
 from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
-from repro.robust.resilience import (
-    CircuitBreaker,
-    Outcome,
-    Quarantine,
-    Resilience,
-    ResiliencePolicy,
-    RetryPolicy,
-)
+from repro.robust.resilience import CircuitBreaker, Quarantine, RetryPolicy
 
 
 class FakeClock:
@@ -177,89 +167,4 @@ def test_quarantine_records_full_history():
         }
     ]
     assert [e["type"] for e in ring.events] == ["quarantine"]
-    validate_trace(ring.events)
-
-
-# ---------------------------------------------------------------------------
-# the composed engine
-# ---------------------------------------------------------------------------
-
-
-def _engine(max_attempts=3, threshold=99) -> tuple[Resilience, list[float]]:
-    sleeps: list[float] = []
-    engine = Resilience(
-        ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01),
-            breaker_threshold=threshold,
-        ),
-        clock=FakeClock(),
-        sleep=sleeps.append,
-    )
-    return engine, sleeps
-
-
-def test_run_success_first_try():
-    engine, sleeps = _engine()
-    outcome = engine.run("k", lambda: 42)
-    assert outcome == Outcome(key="k", value=42, ok=True, attempts=1)
-    assert sleeps == []
-
-
-def test_run_retries_then_succeeds_with_deterministic_sleeps():
-    engine, sleeps = _engine()
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise AnalysisError("transient")
-        return "done"
-
-    outcome = engine.run("k", flaky)
-    assert outcome.ok and outcome.value == "done" and outcome.attempts == 3
-    retry = engine.policy.retry
-    assert sleeps == [retry.delay("k", 1), retry.delay("k", 2)]
-
-
-def test_run_exhaustion_quarantines_and_short_circuits_next_call():
-    engine, _ = _engine(max_attempts=2)
-    outcome = engine.run("k", self_destruct)
-    assert outcome.quarantined and not outcome.ok and outcome.attempts == 2
-    assert outcome.reason == "analysis-failed" and len(outcome.errors) == 2
-    assert "k" in engine.quarantine
-    # the poison key is never attempted again
-    again = engine.run("k", lambda: pytest.fail("must not be called"))
-    assert again.quarantined and again.reason == "quarantined" and again.attempts == 0
-
-
-def self_destruct():
-    raise AnalysisError("poison")
-
-
-def test_run_fatal_errors_propagate():
-    engine, _ = _engine()
-
-    def fatal():
-        raise TypeInferenceError("untypeable")
-
-    with pytest.raises(TypeInferenceError):
-        engine.run("k", fatal)
-    assert "k" not in engine.quarantine  # fatal is not retried into quarantine
-
-
-def test_run_circuit_refusal_makes_no_attempt():
-    engine, _ = _engine(max_attempts=1, threshold=1)
-    engine.run("k", self_destruct)  # quarantined AND trips the breaker
-    refused = engine.run("other-key", lambda: 1)
-    assert refused.ok  # breaker is per-target
-    assert not engine.breaker.allow("k")
-
-
-def test_run_emits_schema_valid_retry_events():
-    ring = RingBufferSink(capacity=None)
-    engine, _ = _engine(max_attempts=3)
-    with activate(Tracer(sinks=[ring])):
-        engine.run("k", self_destruct)
-    types = [e["type"] for e in ring.events]
-    assert types.count("retry") == 2 and types[-1] == "quarantine"
     validate_trace(ring.events)

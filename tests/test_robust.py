@@ -32,7 +32,9 @@ from repro.lang.prelude import (
     paper_map_pair,
     paper_partition_sort,
     prelude_program,
+    prelude_source,
 )
+from repro.opt.driver import apply_plan, harden_optimize, plan_optimizations
 from repro.opt.pipeline import paper_ps_prime, paper_rev_prime
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget, BudgetMeter
@@ -49,7 +51,6 @@ from repro.robust.errors import (
     reason_for,
 )
 from repro.robust.faults import FaultPlan, StageFault
-from repro.robust.pipeline import harden_optimize
 from repro.semantics.gc import MarkSweepGC
 from repro.semantics.heap import AllocKind, Heap, StorageSanitizer
 from repro.semantics.interp import run_program
@@ -573,26 +574,74 @@ class TestHardenedPipeline:
             with pytest.raises(InjectedFault):
                 harden_optimize(partition_sort)
 
-    def test_auto_reuse_records_degradations(self, partition_sort, monkeypatch):
-        from repro.opt import pipeline as opt_pipeline
 
-        def refuse(*args, **kwargs):
-            raise OptimizationError("nope")
+# ---------------------------------------------------------------------------
+# the one applier: apply_plan's rules, which harden_optimize inherits
+# ---------------------------------------------------------------------------
 
-        monkeypatch.setattr(opt_pipeline, "make_reuse_specialization", refuse)
-        outcome = opt_pipeline.auto_reuse(partition_sort)
-        assert not outcome.steps
-        assert outcome.degraded
-        assert all(d.reason == "optimization-skipped" for d in outcome.degradations)
-        assert all(isinstance(d.error, OptimizationError) for d in outcome.degradations)
-        assert outcome.program is partition_sort
+#: A body call whose plan is a block decision, then a stack decision.
+BLOCK_THEN_STACK = "f x y = length x + length y;\n" + prelude_source(
+    ["length", "create_list"], "f (create_list 3) [1, 2]"
+)
 
-    def test_auto_reuse_clean_run_has_no_degradations(self, partition_sort):
-        from repro.opt.pipeline import auto_reuse
 
-        outcome = auto_reuse(partition_sort)
-        assert outcome.steps
-        assert not outcome.degraded
+class TestOneApplier:
+    def test_decisions_apply_in_plan_order(self):
+        program = parse_program(BLOCK_THEN_STACK)
+        plan = plan_optimizations(program)
+        assert [d.kind for d in plan.decisions] == ["block", "stack"]
+        for applied in (apply_plan(plan).log, harden_optimize(program).applied):
+            assert [line.split()[0] for line in applied] == [
+                "block-allocated",
+                "stack-allocated",
+            ]
+
+    def test_the_stack_rewrite_runs_at_most_once(self):
+        # Two stack decisions, one body-wide rewrite, nothing to place.
+        source = BLOCK_THEN_STACK.replace("(create_list 3) [1, 2]", "nil nil")
+        program = parse_program(source)
+        assert [d.kind for d in plan_optimizations(program).decisions] == ["stack"] * 2
+        outcome = harden_optimize(program)
+        assert [(d.reason, d.stage) for d in outcome.degradations] == [
+            ("optimization-skipped", "stack:<body>")
+        ]
+
+    def test_a_faulted_step_is_skipped_and_the_rest_applied(self, partition_sort):
+        plan = plan_optimizations(partition_sort)
+        with faults.inject(FaultPlan(stage_faults=(StageFault("reuse", at=1),))):
+            outcome = apply_plan(plan)
+        first = plan.by_kind("reuse")[0].function
+        assert [line for line in outcome.log if line.startswith("skip reuse")] == [
+            f"skip reuse {first}: injected fault at stage 'reuse' entry #1"
+        ]
+        assert {f"added {d.function}_reuse" for d in plan.by_kind("reuse")[1:]} <= {
+            line.split(" (")[0] for line in outcome.applied
+        }
+        assert run_program(outcome.program)[0] == [1, 2, 3, 4, 5, 7]
+
+    def test_a_record_holds_no_frames(self, partition_sort):
+        # A traceback would tie the recording frame, and every frame below
+        # it with its programs and sessions, into a reference cycle with
+        # the list of records.
+        for outcome in (
+            apply_plan(plan_optimizations(partition_sort)),
+            harden_optimize(partition_sort),
+        ):
+            assert outcome.degradations
+            assert all(d.error.__traceback__ is None for d in outcome.degradations)
+
+    def test_only_the_hardened_caller_emits_degradation_events(self, partition_sort):
+        from repro.diff.snapshot import snapshot_program
+        from repro.obs import RingBufferSink, Tracer, activate
+
+        def degradations(run) -> int:
+            ring = RingBufferSink(capacity=None)
+            with activate(Tracer(sinks=[ring])):
+                run()
+            return sum(1 for e in ring.events if e["type"] == "degradation")
+
+        assert degradations(lambda: snapshot_program(partition_sort, "ps.nml")) == 0
+        assert degradations(lambda: harden_optimize(partition_sort)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
 from repro.robust import faults
 from repro.robust.faults import FaultPlan, StageFault
-from repro.robust.resilience import ResiliencePolicy, RetryPolicy
+from repro.robust.resilience import CircuitBreaker
 from repro.serve import (
     AnalysisService,
     _InFlight,
@@ -200,15 +200,11 @@ def test_successful_requests_leave_no_circuit(service):
         source = prelude_source(["append"], f"append [{i}] [3]")
         status, _ = service.handle("analyze", {"source": source})
         assert status == 200
-    assert service.resilience.breaker.snapshot() == {}
+    assert service.breaker.snapshot() == {}
 
 
 def test_breaker_short_circuits_failing_digest_to_degraded():
-    service = AnalysisService(
-        policy=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=1), breaker_threshold=2
-        )
-    )
+    service = AnalysisService(breaker=CircuitBreaker(failure_threshold=2))
     plan = FaultPlan(
         stage_faults=(StageFault("serve", at=1), StageFault("serve", at=2))
     )
