@@ -34,9 +34,8 @@ The driver supervises rather than trusts its workers
   throughput and the poison input keeps its failure history, instead of
   either sinking the run;
 * **budget exhaustion degrades**: with ``deadline_ms`` set, workers run
-  queries through the hardened engine and a breached analysis deadline
-  yields the sound ``W^τ`` worst case (reported ``degraded``), never an
-  error.
+  every query under that budget and a breached analysis deadline yields
+  the sound ``W^τ`` worst case (reported ``degraded``), never an error.
 
 An ordinary failure *inside* a file — parse error, type error — is still
 contained by the worker itself and answered in one attempt; supervision
@@ -81,7 +80,6 @@ from repro.obs.flight import FlightRecorder, dump_dir_from_env
 from repro.obs.sinks import JsonlSink
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
-from repro.robust.engine import HardenedAnalysis
 from repro.robust.errors import reason_for
 from repro.robust.resilience import Quarantine, RetryPolicy
 from repro.semantics.interp import Interpreter
@@ -421,10 +419,9 @@ def analyze_one(
     parameter — the same questions ``repro report`` asks), sharing SCC
     results through the store at ``store_root``.
 
-    With ``deadline_ms`` set, queries run through the hardened engine
-    (:class:`~repro.robust.engine.HardenedAnalysis`): a breached budget
-    yields the sound ``W^τ`` worst case for the remaining parameters and
-    the report is flagged ``degraded`` — never an error.
+    With ``deadline_ms`` set, every query runs under that budget: a breach
+    yields the sound ``W^τ`` worst case for the parameters it cut short
+    and the report is flagged ``degraded`` — never an error.
 
     Module-level and argument-picklable on purpose: the supervisor ships
     it to worker processes under any start method.
@@ -434,28 +431,43 @@ def analyze_one(
         # run_batch swept the store's stale temp files once, before any
         # worker started.
         store = AnalysisStore(store_root, reap=False) if store_root else None
-        if deadline_ms is not None:
-            report = _analyze_hardened(
-                path, program, store, d, max_iterations, deadline_ms
-            )
-        else:
-            analysis = EscapeAnalysis(
-                program, d=d, max_iterations=max_iterations, store=store
-            )
-            solved = analysis.solve(None)
-            functions = 0
-            for name in program.binding_names():
-                if arity(analysis.scheme(name).body) == 0:
-                    continue
-                analysis.global_all(name)
-                functions += 1
-            report = FileReport(
-                path=str(path),
-                ok=True,
-                d=solved.d,
-                functions=functions,
-                stats=stats_dict(analysis.stats),
-            )
+        analysis = EscapeAnalysis(
+            program,
+            d=d,
+            max_iterations=max_iterations,
+            store=store,
+            budget=(
+                AnalysisBudget(deadline_s=deadline_ms / 1000.0)
+                if deadline_ms is not None
+                else None
+            ),
+        )
+        functions = 0
+        exact = 0
+        degradations: list[str] = []
+        for name in program.binding_names():
+            if arity(analysis.scheme(name).body) == 0:
+                continue
+            for result in analysis.global_all(name):
+                if result.degraded:
+                    degradations.append(
+                        f"{result.function}/{result.param_index}: "
+                        f"{result.degradation.reason}"
+                    )
+                else:
+                    exact += 1
+            functions += 1
+        # ``d`` falls out of the (memoized) solve unless every query was cut
+        # short: a fully degraded file never ran to a chain bound.
+        report = FileReport(
+            path=str(path),
+            ok=True,
+            d=analysis.solve(None).d if exact or not degradations else -1,
+            functions=functions,
+            stats=stats_dict(analysis.stats),
+            degraded=bool(degradations),
+            degradations=degradations,
+        )
         if check:
             try:
                 report.check = check_program(program, path=str(path)).counts()
@@ -470,52 +482,6 @@ def analyze_one(
         return FileReport(
             path=str(path), ok=False, error=f"{type(error).__name__}: {error}"
         )
-
-
-def _analyze_hardened(
-    path: str,
-    program,
-    store,
-    d: int | None,
-    max_iterations: int | None,
-    deadline_ms: float,
-) -> FileReport:
-    """The budgeted worker body: every query through the hardened engine,
-    degradations collected instead of raised."""
-    hardened = HardenedAnalysis(
-        program,
-        budget=AnalysisBudget(deadline_s=deadline_ms / 1000.0),
-        d=d,
-        max_iterations=max_iterations,
-        store=store,
-    )
-    functions = 0
-    degradations: list[str] = []
-    any_exact = False
-    for name in program.binding_names():
-        if arity(hardened.session.scheme(name).body) == 0:
-            continue
-        for robust in hardened.global_all(name):
-            if robust.degraded:
-                degradations.append(
-                    f"{robust.result.function}/{robust.result.param_index}: "
-                    f"{robust.degradation.reason}"
-                )
-            else:
-                any_exact = True
-        functions += 1
-    # ``d`` falls out of the (memoized) solve only when some query actually
-    # completed one; a fully degraded file never ran to a chain bound.
-    solved_d = hardened.session.solve(None).d if any_exact else -1
-    return FileReport(
-        path=str(path),
-        ok=True,
-        d=solved_d,
-        functions=functions,
-        stats=stats_dict(hardened.session.stats),
-        degraded=bool(degradations),
-        degradations=degradations,
-    )
 
 
 # -- the supervisor ----------------------------------------------------------

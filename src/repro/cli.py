@@ -310,109 +310,68 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    program = _load_program(args)
-    if _wants_robust(args):
-        return _cmd_analyze_robust(args, program)
     from repro.escape.analyzer import EscapeAnalysis
-    from repro.escape.report import result_dict
+    from repro.escape.report import result_dict, robust_result_dict, stats_dict
 
-    analysis = EscapeAnalysis(program, store=_store_from(args))
-    doc: dict = {"mode": "exact", "results": [], "errors": []}
+    program = _load_program(args)
+    robust = _wants_robust(args)
+    analysis = EscapeAnalysis(
+        program,
+        store=_store_from(args),
+        budget=_budget_from(args) if robust else None,
+    )
+    # Exact mode lists refused functions under "errors"; robust mode lists
+    # them among the results, the way serve's /analyze answers.
+    doc: dict = {"mode": "robust" if robust else "exact", "results": []}
+    refused = doc["results"] if robust else doc.setdefault("errors", [])
+    degraded: list[str] = []
+
+    def show(result) -> None:
+        if args.json:
+            doc["results"].append(
+                robust_result_dict(result) if robust else result_dict(result)
+            )
+        elif result.degraded:
+            print(
+                f"{result}  —  {result.describe()}  "
+                f"[degraded: {result.degradation.reason}]"
+            )
+        else:
+            print(f"{result}  —  {result.describe()}")
+        if result.degraded:
+            degraded.append(f"{result.function}/{result.param_index}: {result.degradation}")
+
     if args.local:
-        results = analysis.local_test(args.local)
-        for result in results:
-            if args.json:
-                doc["results"].append(result_dict(result))
-            else:
-                print(f"{result}  —  {result.describe()}")
-        return _finish_analyze(args, analysis, doc)
-    names = [args.function] if args.function else list(program.binding_names())
-    for name in names:
-        try:
-            results = analysis.global_all(name)
-        except NmlError as error:
-            if args.json:
-                doc["errors"].append({"function": name, "error": error.message})
-            else:
-                print(f"{name}: {error.message}")
-            continue
-        for result in results:
-            if args.json:
-                doc["results"].append(result_dict(result))
-            else:
-                print(f"{result}  —  {result.describe()}")
-        if args.sharing and not args.json:
-            from repro.analysis.sharing import sharing_global
-
+        for result in analysis.local_test(args.local):
+            show(result)
+    else:
+        names = [args.function] if args.function else list(program.binding_names())
+        for name in names:
             try:
-                print(f"  {sharing_global(analysis, name).describe()}")
-            except NmlError:
-                pass
-    return _finish_analyze(args, analysis, doc)
+                results = analysis.global_all(name)
+            except NmlError as error:
+                if args.json:
+                    refused.append({"function": name, "error": error.message})
+                else:
+                    print(f"{name}: {error.message}")
+                continue
+            for result in results:
+                show(result)
+            if args.sharing and not args.json:
+                from repro.analysis.sharing import sharing_global
 
-
-def _finish_analyze(args: argparse.Namespace, analysis, doc: dict) -> int:
-    from repro.escape.report import stats_dict
-
+                try:
+                    print(f"  {sharing_global(analysis, name).describe()}")
+                except NmlError:
+                    pass
     if args.json:
+        if robust:
+            doc["degraded"] = bool(degraded)
         if args.stats:
             doc["stats"] = stats_dict(analysis.stats)
         print(canonical_json(doc))
     elif args.stats:
         print(f"-- stats: {analysis.stats.summary()}")
-    return 0
-
-
-def _cmd_analyze_robust(args: argparse.Namespace, program: Program) -> int:
-    from repro.escape.report import result_dict, stats_dict
-    from repro.robust.engine import HardenedAnalysis
-
-    engine = HardenedAnalysis(program, budget=_budget_from(args), store=_store_from(args))
-    degraded: list[str] = []
-    doc: dict = {"mode": "robust", "results": []}
-
-    def show(robust) -> None:
-        result = robust.result
-        if args.json:
-            entry = result_dict(result)
-            entry["degraded"] = robust.degraded
-            if robust.degraded:
-                entry["degradation"] = {
-                    "reason": robust.degradation.reason,
-                    "stage": robust.degradation.stage,
-                }
-            doc["results"].append(entry)
-        if robust.degraded:
-            d = robust.degradation
-            if not args.json:
-                print(f"{result}  —  {result.describe()}  [degraded: {d.reason}]")
-            degraded.append(f"{result.function}/{result.param_index}: {d}")
-        elif not args.json:
-            print(f"{result}  —  {result.describe()}")
-
-    if args.local:
-        for robust in engine.local_test(args.local):
-            show(robust)
-    else:
-        names = [args.function] if args.function else list(program.binding_names())
-        for name in names:
-            try:
-                robust_results = engine.global_all(name)
-            except NmlError as error:
-                if args.json:
-                    doc["results"].append({"function": name, "error": error.message})
-                else:
-                    print(f"{name}: {error.message}")
-                continue
-            for robust in robust_results:
-                show(robust)
-    if args.json:
-        doc["degraded"] = bool(degraded)
-        if args.stats:
-            doc["stats"] = stats_dict(engine.session.stats)
-        print(canonical_json(doc))
-    elif args.stats:
-        print(f"-- stats: {engine.session.stats.summary()}")
     return _finish_degraded(args, degraded)
 
 

@@ -168,10 +168,9 @@ class AbstractEvaluator:
     ):
         self.chain = chain
         self.max_iterations = max_iterations
-        #: Optional budget meter (wall-clock deadline + work limits) from
-        #: the hardened engine; breaches raise
-        #: :class:`~repro.robust.errors.BudgetExceeded`, which the engine
-        #: turns into a sound W^τ degradation.
+        #: Optional budget meter (wall-clock deadline + work limits);
+        #: breaches raise :class:`~repro.robust.errors.BudgetExceeded`,
+        #: which a budgeted analysis turns into a sound W^τ degradation.
         self.meter = meter
         self.steps = 0
         self.traces: list[FixpointTrace] = []

@@ -19,28 +19,70 @@ therefore the abstract values of the functions — depend on the monotype
 instance being analyzed, a pinned query still re-infers its private clone
 with the instance pinned; only the components the pin's types reach are
 re-solved.
+
+With a ``budget`` (:class:`~repro.robust.budget.AnalysisBudget`) every
+global and local test runs under a meter of its own and always answers.
+A budget breach or a degradable failure
+(:func:`~repro.robust.errors.classify`) yields the ``W^τ`` worst case
+⟨1, sᵢ⟩ for each queried parameter — sound for every application by
+Definition 2 — and the result records why in its ``degradation``.  A
+retryable failure is retried once first; a fatal one (an untypeable
+program, a tripped soundness tripwire) propagates, because there is
+nothing sound to degrade to or degrading would mask a real defect.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable, Sequence
+
 from repro.escape.global_test import run_global_test
 from repro.escape.local_test import run_local_test
 from repro.escape.results import EscapeTestResult
-from repro.lang.ast import Expr, uncurry_app
+from repro.escape.worst import worst_test_result
+from repro.lang.ast import Expr, Program, Var, uncurry_app
 from repro.lang.errors import AnalysisError
 from repro.lang.parser import parse_expr
-from repro.lang.ast import Program
 from repro.obs import tracer as obs
 from repro.query import AnalysisSession, SessionStats, SolvedProgram
+from repro.robust import faults
+from repro.robust.errors import (
+    DeadlineExceeded,
+    IterationBudgetExceeded,
+    Severity,
+    WorkBudgetExceeded,
+    classify,
+    degradation_for,
+)
 from repro.types.types import Type, TypeScheme, arity, fun_args
 
-from typing import TYPE_CHECKING
-
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.robust.budget import BudgetMeter
+    from repro.robust.budget import AnalysisBudget, BudgetMeter
     from repro.store import AnalysisStore
 
 __all__ = ["EscapeAnalysis", "SolvedProgram"]
+
+
+def _stage_of(error: BaseException) -> str:
+    """The analysis stage ``error`` cut short."""
+    stage = getattr(error, "stage", "")
+    if stage:
+        return stage
+    if isinstance(error, IterationBudgetExceeded):
+        return "fixpoint"
+    if isinstance(error, (WorkBudgetExceeded, DeadlineExceeded)):
+        return "abstract-eval"
+    return "analysis"
+
+
+def _charge(meter: "BudgetMeter") -> None:
+    """Emit what the finished (or cut-off) query actually spent."""
+    spent = meter.spent()
+    obs.emit(
+        "budget_charge",
+        wall_s=round(spent.wall_seconds, 9),
+        eval_steps=spent.eval_steps,
+        iterations=spent.iterations,
+    )
 
 
 class EscapeAnalysis:
@@ -60,14 +102,23 @@ class EscapeAnalysis:
         meter: "BudgetMeter | None" = None,
         session: AnalysisSession | None = None,
         store: "AnalysisStore | None" = None,
+        budget: "AnalysisBudget | None" = None,
     ):
+        if budget is not None and meter is not None:
+            raise AnalysisError("an analysis takes a budget or a meter, not both")
         self.program = program
-        #: Optional budget meter from the hardened engine
-        #: (:mod:`repro.robust`): ticked on every abstract-evaluation step
-        #: and fixpoint iteration of every solve this analysis performs.
-        #: Store hits decode persisted values without abstract evaluation,
-        #: so they are never charged.
+        #: Optional budget meter (:mod:`repro.robust.budget`) shared by every
+        #: solve this analysis performs: ticked on every abstract-evaluation
+        #: step and fixpoint iteration, and a breach propagates to the
+        #: caller.  The optimizer's survey charges itself to one meter this
+        #: way.  Store hits decode persisted values without abstract
+        #: evaluation, so they are never charged.
         self.meter = meter
+        #: Optional per-query budget: each global and local test runs under
+        #: a fresh meter of it and degrades to ``W^τ`` instead of raising.
+        #: The session's caches span queries, so a query is charged only
+        #: for the cache misses it actually solves.
+        self.budget = budget
         if session is not None:
             if session.program is not program:
                 raise AnalysisError(
@@ -148,9 +199,30 @@ class EscapeAnalysis:
         n_args: int | None = None,
     ) -> EscapeTestResult:
         """``G(function, i)`` — optionally at a pinned monotype instance."""
+        if self.budget is None:
+            return self._global_test(self.meter, function, i, instance, n_args)
+        arg_types = fun_args(self._type_at(function, instance))[0]
+        if not 1 <= i <= len(arg_types):
+            raise AnalysisError(f"parameter index {i} out of range 1..{len(arg_types)}")
+        return self._budgeted(
+            lambda meter: [self._global_test(meter, function, i, instance, n_args)],
+            function,
+            arg_types,
+            [i],
+            "global",
+        )[0]
+
+    def _global_test(
+        self,
+        meter: "BudgetMeter | None",
+        function: str,
+        i: int,
+        instance: Type | None,
+        n_args: int | None,
+    ) -> EscapeTestResult:
         pins = {function: instance} if instance is not None else None
         with obs.span("global_test", function=function, param=i):
-            with self.session.query(self.meter):
+            with self.session.query(meter):
                 solved = self.session.solve(pins)
                 self.last_solved = solved
                 fn_type = self._binding_type(solved, function)
@@ -170,9 +242,31 @@ class EscapeAnalysis:
         the syntactic arity to treat deeper arrows contributed by a
         function-typed instance as part of the *result*, not as parameters.
         """
+        if self.budget is None:
+            return self._global_all(self.meter, function, instance, n_args)
+        fn_type = self._type_at(function, instance)
+        arg_types = fun_args(fn_type)[0]
+        n = min(n_args if n_args is not None else len(arg_types), len(arg_types))
+        if n == 0:
+            raise AnalysisError(f"{function} takes no arguments (type {fn_type})")
+        return self._budgeted(
+            lambda meter: self._global_all(meter, function, instance, n_args),
+            function,
+            arg_types,
+            range(1, n + 1),
+            "global",
+        )
+
+    def _global_all(
+        self,
+        meter: "BudgetMeter | None",
+        function: str,
+        instance: Type | None,
+        n_args: int | None,
+    ) -> list[EscapeTestResult]:
         pins = {function: instance} if instance is not None else None
         with obs.span("global_all", function=function):
-            with self.session.query(self.meter):
+            with self.session.query(meter):
                 solved = self.session.solve(pins)
                 self.last_solved = solved
                 fn_type = self._binding_type(solved, function)
@@ -210,13 +304,41 @@ class EscapeAnalysis:
         parameters when ``i`` is None.  The variant program is solved on a
         private clone, so neither the session program nor the caller's
         expression is re-typed in place.
+
+        Under a budget only a call whose head is a top-level binding, and
+        which does not pass it more arguments than it takes, can degrade:
+        the worst case needs the head's parameter types.  Any other call
+        propagates its failure.
         """
         expr = parse_expr(call) if isinstance(call, str) else call
         head, args = uncurry_app(expr)
+        indices = [i] if i is not None else list(range(1, len(args) + 1))
+        if self.budget is None:
+            results = self._local_tests(self.meter, expr, indices)
+        else:
+            function, arg_types = "", None
+            if isinstance(head, Var) and head.name in self.program.binding_names():
+                function = head.name
+                arg_types = fun_args(self.session.base_type(function))[0]
+                if len(args) > len(arg_types):
+                    arg_types = None
+            results = self._budgeted(
+                lambda meter: self._local_tests(meter, expr, indices),
+                function,
+                arg_types,
+                indices,
+                "local",
+            )
+        return results[0] if i is not None else results
+
+    def _local_tests(
+        self, meter: "BudgetMeter | None", expr: Expr, indices: list[int]
+    ) -> list[EscapeTestResult]:
+        _, args = uncurry_app(expr)
         if not args:
             raise AnalysisError("local test target must be an application")
 
-        with obs.span("local_test"), self.session.query(self.meter):
+        with obs.span("local_test"), self.session.query(meter):
             solved, fn_value, label = self.session.solve_call(expr)
             self.last_solved = solved
 
@@ -228,17 +350,63 @@ class EscapeAnalysis:
             for arg in solved_args:
                 assert arg.ty is not None
                 arg_types.append(arg.ty)
-
-            if i is not None:
-                return run_local_test(
-                    solved.evaluator, fn_value, label, arg_values, arg_types, i
-                )
             return [
                 run_local_test(
                     solved.evaluator, fn_value, label, arg_values, arg_types, j
                 )
-                for j in range(1, len(solved_args) + 1)
+                for j in indices
             ]
+
+    # -- budgeted queries ------------------------------------------------------
+
+    def _type_at(self, function: str, instance: Type | None) -> Type:
+        """The queried instance's type, known before solving: a degraded
+        answer must use the *instance* spine counts to stay ⊒ the exact
+        answer."""
+        return instance if instance is not None else self.session.base_type(function)
+
+    def _budgeted(
+        self,
+        query: "Callable[[BudgetMeter], list[EscapeTestResult]]",
+        function: str,
+        arg_types: "Sequence[Type] | None",
+        indices: Sequence[int],
+        kind: str,
+    ) -> list[EscapeTestResult]:
+        """Answer ``query`` under a fresh meter of the budget, or degrade:
+        the ``W^τ`` worst case for each of ``indices``, from ``arg_types``.
+        ``arg_types=None`` means the query cannot degrade."""
+        assert self.budget is not None
+        meter = self.budget.start()
+        retried = False
+        while True:
+            try:
+                faults.check_stage("query")
+                results = query(meter)
+            except Exception as error:
+                severity = classify(error)
+                if severity is Severity.RETRYABLE and not retried:
+                    retried = True
+                    continue
+                if severity is Severity.FATAL or arg_types is None:
+                    raise
+                degradation = degradation_for(error, _stage_of(error), meter)
+                # Name the degraded query so `repro explain` can tie the
+                # fallback to its binding even when the solver never got far
+                # enough to emit any solve events of its own.
+                obs.emit(
+                    "degradation",
+                    reason=degradation.reason,
+                    stage=degradation.stage,
+                    function=function,
+                )
+                _charge(meter)
+                return [
+                    worst_test_result(function, j, arg_types[j - 1], kind, degradation)
+                    for j in indices
+                ]
+            _charge(meter)
+            return results
 
     # -- convenience -------------------------------------------------------------
 

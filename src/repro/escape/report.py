@@ -110,6 +110,19 @@ def result_dict(result: EscapeTestResult) -> dict:
     }
 
 
+def robust_result_dict(result: EscapeTestResult) -> dict:
+    """:func:`result_dict` plus whether the answer degraded, and why — one
+    entry of ``analyze --robust --json`` and of serve's ``/analyze``."""
+    entry = result_dict(result)
+    entry["degraded"] = result.degraded
+    if result.degradation is not None:
+        entry["degradation"] = {
+            "reason": result.degradation.reason,
+            "stage": result.degradation.stage,
+        }
+    return entry
+
+
 def stats_dict(stats) -> dict:
     """Query-session accounting as a plain dict (``--json``)."""
     doc = {

@@ -12,6 +12,7 @@ from repro.types.types import Type
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lang.ast import Expr
     from repro.query import SessionStats, SolvedProgram
+    from repro.robust.errors import Degradation
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class EscapeTestResult:
       spines never escape; the bottom ``k`` spines may;
     * ``⟨1,0⟩`` with ``param_spines = 0`` — the (non-list) argument may
       escape.
+
+    A budgeted analysis whose query was cut short answers with the ``W^τ``
+    worst case ``⟨1, sᵢ⟩`` (Definition 2), sound for every application,
+    and records why in ``degradation``.
     """
 
     function: str
@@ -33,6 +38,11 @@ class EscapeTestResult:
     param_type: Type
     result: Escapement
     kind: str  # "global" or "local"
+    degradation: "Degradation | None" = None
+
+    @property
+    def degraded(self) -> bool:
+        return self.degradation is not None
 
     @property
     def nothing_escapes(self) -> bool:

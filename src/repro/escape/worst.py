@@ -77,16 +77,17 @@ def worst_escapement(ty: Type) -> Escapement:
 
     This is what applying any function to ``worst_value(τ, True)`` can at
     most yield for that argument, so it is ⊒ every exact answer — the sound
-    fallback the hardened engine degrades to when a query breaches its
+    fallback a budgeted analysis degrades to when a query breaches its
     budget.
     """
     return Escapement(1, spines(ty))
 
 
 def worst_test_result(
-    function: str, i: int, param_type: Type, kind: str = "global"
+    function: str, i: int, param_type: Type, kind: str = "global", degradation=None
 ):
-    """A ``W^τ``-derived worst-case escape-test result for parameter ``i``.
+    """A ``W^τ``-derived worst-case escape-test result for parameter ``i``,
+    carrying the ``degradation`` that called for it.
 
     Sound for every application (Definition 2): it reports that all ``sᵢ``
     spines of the argument may escape, which over-approximates whatever the
@@ -101,4 +102,5 @@ def worst_test_result(
         param_type=param_type,
         result=worst_escapement(param_type),
         kind=kind,
+        degradation=degradation,
     )

@@ -47,11 +47,10 @@ from repro.query import AnalysisSession
 from repro.robust import faults
 from repro.robust.errors import (
     BudgetExceeded,
-    BudgetSpent,
     Degradation,
     Severity,
     classify,
-    reason_for,
+    degradation_for,
 )
 
 from typing import TYPE_CHECKING
@@ -345,22 +344,6 @@ def apply_block_decision(
     ]
 
 
-def _degradation(
-    error: BaseException, stage: str, meter: "BudgetMeter | None"
-) -> Degradation:
-    # The record keeps the exception but not its traceback: the traceback's
-    # frames hold the caller's list of records, and that reference cycle
-    # would keep every frame's programs and sessions alive until the
-    # cyclic collector runs.
-    return Degradation(
-        reason=reason_for(error),
-        stage=stage,
-        message=str(error),
-        spent=meter.spent() if meter is not None else BudgetSpent(),
-        error=error.with_traceback(None),
-    )
-
-
 def apply_plan(
     plan: OptimizationPlan,
     session: "AnalysisSession | None" = None,
@@ -405,7 +388,7 @@ def apply_plan(
                 raise
             obs.emit("transform_skipped", kind=decision.kind, reason=str(error))
             degradations.append(
-                _degradation(error, f"{decision.kind}:{decision.function}", meter)
+                degradation_for(error, f"{decision.kind}:{decision.function}", meter)
             )
             continue
         applied.extend(lines)
@@ -454,7 +437,7 @@ def harden_optimize(
     except Exception as error:
         if classify(error) is Severity.FATAL:
             raise
-        result = PipelineResult(program, [], [_degradation(error, "plan", meter)])
+        result = PipelineResult(program, [], [degradation_for(error, "plan", meter)])
     else:
         result = apply_plan(plan, session=session, meter=meter)
         if validate and result.program is not program:
@@ -463,7 +446,7 @@ def harden_optimize(
                 result = PipelineResult(
                     program,
                     [],
-                    [*result.degradations, _degradation(failure, "validate", meter)],
+                    [*result.degradations, degradation_for(failure, "validate", meter)],
                 )
     for degradation in result.degradations:
         obs.emit("degradation", reason=degradation.reason, stage=degradation.stage)

@@ -27,8 +27,8 @@ into a demand-driven query system, in the style of compiler query engines:
   hash identically and re-derives everything a rewrite changed.
 * **Accounting.**  Each query tallies cache hits/misses, fixpoint
   iterations and abstract-evaluation steps (:class:`QueryStats`,
-  aggregated into :class:`SessionStats`), and budget meters from the
-  hardened engine charge only the work a query actually performs: a cache
+  aggregated into :class:`SessionStats`), and the budget meters of a
+  budgeted analysis charge only the work a query actually performs: a cache
   hit — in-memory or from the store — costs no fixpoint iterations, while
   deadlines are still enforced at every solve entry.
 
@@ -354,6 +354,17 @@ class AnalysisSession:
 
     def scheme(self, name: str) -> TypeScheme:
         return self._base_inference.scheme(name)
+
+    def base_type(self, name: str) -> Type:
+        """A top-level binding's monotype at the default instance — the
+        type the unpinned solve analyzes — known before anything is
+        solved."""
+        try:
+            binding = self._base_clone.binding(name)
+        except KeyError:
+            raise AnalysisError(f"no top-level binding named {name!r}") from None
+        assert binding.expr.ty is not None
+        return binding.expr.ty
 
     # -- derived sessions --------------------------------------------------
 

@@ -9,17 +9,16 @@
   quarantine (the batch supervisor) and the per-target circuit breaker
   (the daemon);
 * :mod:`repro.robust.chaos`   — seeded chaos schedules and the soak
-  harness that asserts the always-answer invariant;
-* :mod:`repro.robust.engine`  — :class:`HardenedAnalysis`, escape queries
-  that degrade soundly to the ``W^τ`` worst case instead of failing.
+  harness that asserts the always-answer invariant.
 
-The budgeted optimizer, :func:`repro.opt.driver.harden_optimize`, lives
-with the one loop that applies optimization plans.
+Budgeted escape queries that degrade soundly to the ``W^τ`` worst case
+are :class:`~repro.escape.analyzer.EscapeAnalysis` given a ``budget``; the
+budgeted optimizer, :func:`repro.opt.driver.harden_optimize`, lives with
+the one loop that applies optimization plans.
 
-The root exports lazily, like every package root.  That matters more here
-than elsewhere: the low-level modules are imported *by* the analysis and
-runtime layers (for budget metering and fault hooks), while ``engine``
-imports those layers in turn.
+The root exports lazily, like every package root: the low-level modules
+are imported *by* the analysis and runtime layers (for budget metering and
+fault hooks), while ``chaos`` imports those layers in turn.
 """
 
 from repro import _lazy_exports
@@ -31,10 +30,9 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.robust.errors": (
             "BudgetExceeded", "BudgetSpent", "DeadlineExceeded", "Degradation",
             "InjectedFault", "IterationBudgetExceeded", "Severity",
-            "WorkBudgetExceeded", "classify", "reason_for",
+            "WorkBudgetExceeded", "classify", "degradation_for", "reason_for",
         ),
         "repro.robust.faults": ("FaultInjector", "FaultPlan", "SlowStage", "StageFault"),
-        "repro.robust.engine": ("HardenedAnalysis", "RobustResult"),
         "repro.robust.resilience": (
             "CircuitBreaker", "Quarantine", "QuarantineEntry", "RetryPolicy",
         ),

@@ -7,7 +7,8 @@ An :class:`AnalysisBudget` is immutable configuration — how much a query is
 :class:`~repro.escape.analyzer.EscapeAnalysis`.  The evaluator ticks the
 meter on every abstract-evaluation step and every fixpoint iteration; a
 breach raises the matching :class:`~repro.robust.errors.BudgetExceeded`
-subtype, which the hardened engine turns into a sound ``W^τ`` degradation.
+subtype, which a budgeted :class:`~repro.escape.analyzer.EscapeAnalysis`
+turns into a sound ``W^τ`` degradation.
 
 The deadline is checked on every fixpoint iteration and every
 ``DEADLINE_CHECK_STRIDE``-th evaluation step, so the clock is read rarely

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.lang.errors import (
     AnalysisError,
@@ -39,6 +40,9 @@ from repro.lang.errors import (
     TypeInferenceError,
     UseAfterFreeError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.robust.budget import BudgetMeter
 
 
 class Severity(enum.Enum):
@@ -153,6 +157,26 @@ class Degradation:
         if self.message:
             text += f": {self.message}"
         return text
+
+
+def degradation_for(
+    error: BaseException, stage: str, meter: "BudgetMeter | None" = None
+) -> Degradation:
+    """The record of ``error`` cutting ``stage`` short, with what ``meter``
+    had spent by then.
+
+    The record keeps the exception but not its traceback: the traceback's
+    frames hold the caller's list of records, and that reference cycle
+    would keep every frame's programs and sessions alive until the cyclic
+    collector runs.
+    """
+    return Degradation(
+        reason=reason_for(error),
+        stage=stage,
+        message=str(error),
+        spent=meter.spent() if meter is not None else BudgetSpent(),
+        error=error.with_traceback(None),
+    )
 
 
 def reason_for(error: BaseException) -> str:

@@ -12,8 +12,8 @@ Stages currently instrumented:
 
 * ``"solve"``    — entry to a letrec fixpoint solve
   (:meth:`~repro.escape.abstract.AbstractEvaluator.solve_bindings`);
-* ``"query"``    — entry to one hardened-engine query attempt
-  (:class:`~repro.robust.engine.HardenedAnalysis`);
+* ``"query"``    — entry to one attempt of a budgeted escape query
+  (:class:`~repro.escape.analyzer.EscapeAnalysis` given a ``budget``);
 * ``"reuse"``, ``"stack"``, ``"block"`` — one optimization step of
   :func:`~repro.opt.driver.apply_plan`; ``"plan"`` and ``"validate"`` —
   the survey and the validation run of

@@ -68,21 +68,21 @@ import repro.machine.compiler  # noqa: F401
 import repro.machine.verify  # noqa: F401
 import repro.semantics.interp  # noqa: F401
 from repro.check import CHECK_PASSES, check_program
-from repro.escape.report import result_dict, stats_dict
+from repro.escape.analyzer import EscapeAnalysis
+from repro.escape.report import robust_result_dict, stats_dict
 from repro.lang.errors import NmlError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.obs import context as obs_context
 from repro.obs import tracer as obs
 from repro.obs.context import TraceContext
-from repro.obs.flight import FlightRecorder, dump_dir_from_env
+from repro.obs.flight import FlightRecorder, dump_dir_from_env, recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.options import COLLECTORS
 from repro.opt.driver import harden_optimize
 from repro.query import AnalysisSession
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
-from repro.robust.engine import HardenedAnalysis
 from repro.robust.resilience import CircuitBreaker
 from repro.store import AnalysisStore
 
@@ -300,11 +300,11 @@ class AnalysisService:
         return status, doc
 
     def _do_analyze(self, program, payload: dict) -> tuple[int, dict]:
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             program,
-            budget=AnalysisBudget(deadline_s=self._deadline_s(payload)),
             d=payload.get("d"),
             store=self.store,
+            budget=AnalysisBudget(deadline_s=self._deadline_s(payload)),
         )
         names = (
             [payload["function"]]
@@ -312,31 +312,23 @@ class AnalysisService:
             else list(program.binding_names())
         )
         results = []
-        degradations = []
+        degraded = False
         for name in names:
             try:
-                robust_results = engine.global_all(name)
+                answers = analysis.global_all(name)
             except NmlError as error:
                 results.append({"function": name, "error": error.message})
                 continue
-            for robust in robust_results:
-                entry = result_dict(robust.result)
-                entry["degraded"] = robust.degraded
-                if robust.degraded:
-                    entry["degradation"] = {
-                        "reason": robust.degradation.reason,
-                        "stage": robust.degradation.stage,
-                    }
-                    degradations.append(robust.degradation.reason)
-                results.append(entry)
-        degraded = bool(degradations)
+            for result in answers:
+                results.append(robust_result_dict(result))
+                degraded = degraded or result.degraded
         return 200, {
             "ok": True,
             "degraded": degraded,
             "exit_code": 3 if degraded else 0,
             "engine": "worklist",
             "results": results,
-            "stats": stats_dict(engine.session.stats),
+            "stats": stats_dict(analysis.stats),
         }
 
     def _do_check(self, program, payload: dict) -> tuple[int, dict]:
@@ -497,9 +489,12 @@ def serve(
     from contextlib import ExitStack
 
     stream = ready_stream or sys.stderr
+    # The process's recorder when one is installed (the CLI installs one
+    # around every command), so the daemon keeps one black box, not two.
     service = AnalysisService(
         store_root=store_root,
         default_deadline_ms=default_deadline_ms,
+        flight=recorder(),
         collector=collector,
     )
     server = make_server(host, port, service, quiet=quiet)
@@ -518,11 +513,13 @@ def serve(
         # Always-on flight recording: request/degradation events from
         # every handler thread land in the service's bounded ring, so a
         # crash-landing daemon leaves a black box.  If the CLI already
-        # activated a tracer (e.g. --trace), join it instead of replacing.
+        # activated a tracer (e.g. --trace), join it instead of replacing,
+        # unless the recorder already is one of its sinks.
         active = obs.tracing()
         if active is not None:
-            active.sinks.append(service.flight)
-            stack.callback(active.sinks.remove, service.flight)
+            if service.flight not in active.sinks:
+                active.sinks.append(service.flight)
+                stack.callback(active.sinks.remove, service.flight)
         else:
             stack.enter_context(obs.activate(obs.Tracer(sinks=[service.flight])))
         try:

@@ -118,6 +118,13 @@ class TestRunBatch:
         assert report.store_root is None
         assert report.totals().get("store_hits", 0) == 0
 
+    def test_unbreached_deadline_reports_what_no_deadline_does(self, corpus):
+        def facts(report):
+            return [(r.path, r.d, r.functions, r.stats, r.degraded) for r in report.reports]
+
+        exact = facts(run_batch([corpus], jobs=1))
+        assert facts(run_batch([corpus], jobs=1, deadline_ms=600_000)) == exact
+
     def test_failed_file_does_not_sink_the_batch(self, corpus):
         (corpus / "bad.nml").write_text("][")
         report = run_batch([corpus], jobs=1)

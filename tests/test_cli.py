@@ -287,7 +287,7 @@ class TestRobustFlags:
     def test_robust_answers_every_function_past_a_value_binding(self, capsys):
         assert main(["analyze", "-e", VALUE_BINDING, "--robust"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "xs: xs takes no arguments"
+        assert out[0] == "xs: xs takes no arguments (type int list)"
         assert out[1].startswith("G(id, 1) = <1,0>")
 
     def test_robust_json_records_a_value_binding_as_serve_does(self, capsys):
@@ -298,10 +298,17 @@ class TestRobustFlags:
         _, served = AnalysisService().handle("analyze", {"source": VALUE_BINDING})
         assert doc["results"][0] == served["results"][0] == {
             "function": "xs",
-            "error": "xs takes no arguments",
+            "error": "xs takes no arguments (type int list)",
         }
         assert [entry["function"] for entry in doc["results"]] == ["xs", "id"]
         assert doc["degraded"] is False
+
+    def test_robust_sharing_prints_what_the_exact_analysis_prints(self, capsys):
+        assert main(["analyze", PARTITION_SORT, "--sharing"]) == 0
+        exact = capsys.readouterr().out
+        assert "unshared" in exact
+        assert main(["analyze", PARTITION_SORT, "--sharing", "--robust"]) == 0
+        assert capsys.readouterr().out == exact
 
     def test_optimize_robust_prints_the_same_bytes_every_run(self, capsys):
         outputs = []

@@ -92,14 +92,13 @@ class TestExplainBinding:
 
     def test_degradation_names_its_query(self):
         from repro.robust.budget import AnalysisBudget
-        from repro.robust.engine import HardenedAnalysis
 
         program = parse_program(REV)
         ring = RingBufferSink()
         with activate(Tracer(sinks=[ring])):
-            engine = HardenedAnalysis(program, budget=AnalysisBudget(deadline_s=0.0))
-            for robust in engine.global_all("rev"):
-                assert robust.degraded
+            analysis = EscapeAnalysis(program, budget=AnalysisBudget(deadline_s=0.0))
+            for result in analysis.global_all("rev"):
+                assert result.degraded
         explanation = explain_binding(ring.events, "rev")
         assert explanation.found
         assert explanation.degradations

@@ -435,16 +435,15 @@ class TestOptimizerEvents:
 class TestHardenedEngineEvents:
     def test_budget_charge_and_degradation_events(self):
         from repro.robust.budget import AnalysisBudget
-        from repro.robust.engine import HardenedAnalysis
 
         ring = RingBufferSink()
         with activate(Tracer(sinks=[ring])):
-            engine = HardenedAnalysis(
+            analysis = EscapeAnalysis(
                 paper_partition_sort(),
                 budget=AnalysisBudget(max_fixpoint_iterations=1),
             )
-            robust = engine.global_test("append", 1)
-        assert robust.degraded
+            result = analysis.global_test("append", 1)
+        assert result.degraded
         events = ring.events
         degradations = [e for e in events if e["type"] == "degradation"]
         assert degradations and degradations[0]["reason"] == "iteration-budget-exceeded"

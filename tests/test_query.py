@@ -1,15 +1,15 @@
 """The query engine (:mod:`repro.query`): solve/SCC caching, per-query
 stats, AST isolation (the local-test sharing hazard), and session reuse
-across facades and the hardened engine."""
+across facades and budgeted queries."""
 
 import pytest
 
 from repro.escape.analyzer import EscapeAnalysis
 from repro.lang.errors import AnalysisError
 from repro.lang.prelude import paper_partition_sort, prelude_program
+from repro.obs import RingBufferSink, Tracer, activate
 from repro.query import AnalysisSession
 from repro.robust.budget import AnalysisBudget
-from repro.robust.engine import HardenedAnalysis
 from repro.types.types import INT, TFun, TList
 
 DEEP_APPEND = TFun(TList(TList(INT)), TFun(TList(TList(INT)), TList(TList(INT))))
@@ -163,15 +163,19 @@ class TestStats:
 
 class TestBudgetsChargeOnlyMisses:
     def test_repeat_query_spends_no_iterations(self):
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             paper_partition_sort(), budget=AnalysisBudget(max_fixpoint_iterations=50)
         )
-        first = engine.global_test("append", 1)
-        second = engine.global_test("append", 1)
-        assert first.exact and second.exact
-        assert first.spent.iterations > 0
-        assert second.spent.iterations == 0
-        assert first.result.result == second.result.result
+        ring = RingBufferSink()
+        with activate(Tracer(sinks=[ring])):
+            first = analysis.global_test("append", 1)
+            second = analysis.global_test("append", 1)
+        assert not first.degraded and not second.degraded
+        charges = [e for e in ring.events if e["type"] == "budget_charge"]
+        assert len(charges) == 2
+        assert charges[0]["iterations"] > 0
+        assert charges[1]["iterations"] == 0
+        assert first.result == second.result
 
     def test_meter_does_not_leak_into_later_queries(self, partition_sort):
         # A breached (deadline-0) query must not poison the session's

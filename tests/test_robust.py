@@ -28,6 +28,7 @@ from repro.lang.errors import (
 )
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
+from repro.obs import RingBufferSink, Tracer, activate
 from repro.lang.prelude import (
     paper_map_pair,
     paper_partition_sort,
@@ -38,7 +39,6 @@ from repro.opt.driver import apply_plan, harden_optimize, plan_optimizations
 from repro.opt.pipeline import paper_ps_prime, paper_rev_prime
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget, BudgetMeter
-from repro.robust.engine import HardenedAnalysis
 from repro.robust.errors import (
     BudgetExceeded,
     DeadlineExceeded,
@@ -55,7 +55,7 @@ from repro.semantics.gc import MarkSweepGC
 from repro.semantics.heap import AllocKind, Heap, StorageSanitizer
 from repro.semantics.interp import run_program
 from repro.semantics.values import VCons, VInt, VNil
-from repro.types.types import INT, TList
+from repro.types.types import INT, TList, arity
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +225,18 @@ class TestWideningSafetyNet:
 
 
 class TestHardenedAnalysis:
+    """``EscapeAnalysis`` given a budget: every query answers, exact or
+    degraded to the ``W^τ`` worst case."""
+
     def test_exact_within_budget(self, partition_sort):
-        engine = HardenedAnalysis(partition_sort)
-        robust = engine.global_test("append", 1)
-        assert robust.exact and not robust.degraded
-        assert str(robust.result.result) == "<1,0>"
-        assert robust.spent is not None and robust.spent.eval_steps > 0
+        ring = RingBufferSink()
+        with activate(Tracer(sinks=[ring])):
+            analysis = EscapeAnalysis(partition_sort, budget=AnalysisBudget())
+            result = analysis.global_test("append", 1)
+        assert result.degradation is None and not result.degraded
+        assert str(result.result) == "<1,0>"
+        charges = [e for e in ring.events if e["type"] == "budget_charge"]
+        assert len(charges) == 1 and charges[0]["eval_steps"] > 0
 
     @pytest.mark.parametrize(
         "budget, reason",
@@ -242,14 +248,14 @@ class TestHardenedAnalysis:
         ids=["deadline", "iterations", "steps"],
     )
     def test_budget_breach_degrades_with_reason(self, partition_sort, budget, reason):
-        engine = HardenedAnalysis(partition_sort, budget=budget)
-        results = engine.global_all("append")
+        analysis = EscapeAnalysis(partition_sort, budget=budget)
+        results = analysis.global_all("append")
         assert len(results) == 2
-        for robust in results:
-            assert robust.degraded
-            assert robust.degradation.reason == reason
-            assert robust.degradation.error is not None
-            assert robust.result.result == Escapement(1, 1)
+        for result in results:
+            assert result.degraded
+            assert result.degradation.reason == reason
+            assert result.degradation.error is not None
+            assert result.result == Escapement(1, 1)
 
     def test_degraded_dominates_exact(self, partition_sort):
         exact = {
@@ -257,49 +263,49 @@ class TestHardenedAnalysis:
             for name in ("append", "split", "ps")
             for r in EscapeAnalysis(partition_sort).global_all(name)
         }
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             partition_sort, budget=AnalysisBudget(max_eval_steps=50)
         )
         for name in ("append", "split", "ps"):
-            for robust in engine.global_all(name):
-                key = (robust.result.function, robust.result.param_index)
-                assert exact[key].leq(robust.result.result)
+            for result in analysis.global_all(name):
+                key = (result.function, result.param_index)
+                assert exact[key].leq(result.result)
 
     def test_budget_spent_is_recorded(self, partition_sort):
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             partition_sort, budget=AnalysisBudget(max_eval_steps=10)
         )
-        robust = engine.global_test("append", 1)
-        assert robust.degradation.spent.eval_steps >= 10
+        result = analysis.global_test("append", 1)
+        assert result.degradation.spent.eval_steps >= 10
 
     def test_untypeable_program_is_fatal_at_construction(self):
         from repro.lang.parser import parse_program
 
         bad = parse_program("f x = f;\nf [1]")  # occurs-check failure
         with pytest.raises(TypeInferenceError):
-            HardenedAnalysis(bad)
+            EscapeAnalysis(bad, budget=AnalysisBudget())
 
     def test_unknown_function_raises(self, partition_sort):
-        engine = HardenedAnalysis(partition_sort)
+        analysis = EscapeAnalysis(partition_sort, budget=AnalysisBudget())
         with pytest.raises(AnalysisError):
-            engine.global_all("nope")
+            analysis.global_all("nope")
         with pytest.raises(AnalysisError):
-            engine.global_test("append", 9)
+            analysis.global_test("append", 9)
 
     def test_local_test_degrades(self, partition_sort):
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             partition_sort, budget=AnalysisBudget(max_eval_steps=5)
         )
-        results = engine.local_test("append (ps [2, 1]) [3]")
+        results = analysis.local_test("append (ps [2, 1]) [3]")
         assert len(results) == 2
         assert all(r.degraded for r in results)
         # The degraded local answer still uses append's parameter types.
-        assert results[0].result.result == Escapement(1, 1)
+        assert results[0].result == Escapement(1, 1)
 
     def test_local_test_exact(self, partition_sort):
-        engine = HardenedAnalysis(partition_sort)
-        results = engine.local_test("append (ps [2, 1]) [3]")
-        assert all(r.exact for r in results)
+        analysis = EscapeAnalysis(partition_sort, budget=AnalysisBudget())
+        results = analysis.local_test("append (ps [2, 1]) [3]")
+        assert all(not r.degraded for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +344,11 @@ class TestFaultMatrix:
         exact = EscapeAnalysis(program).global_all(function)
 
         with faults.inject(plan):
-            engine = HardenedAnalysis(program, budget=budget)
-            injured = engine.global_all(function)
+            injured = EscapeAnalysis(program, budget=budget).global_all(function)
 
         assert len(injured) == len(exact)
         for e, r in zip(exact, injured):
-            assert e.result.leq(r.result.result)  # soundness, degraded or not
+            assert e.result.leq(r.result)  # soundness, degraded or not
             if r.degraded:
                 assert r.degradation.reason in (
                     "deadline-exceeded",
@@ -353,10 +358,10 @@ class TestFaultMatrix:
                 )
 
         # No shared-state corruption: a clean rerun is exact again.
-        clean = HardenedAnalysis(program).global_all(function)
+        clean = EscapeAnalysis(program, budget=AnalysisBudget()).global_all(function)
         for e, r in zip(exact, clean):
-            assert r.exact
-            assert e.result == r.result.result
+            assert not r.degraded
+            assert e.result == r.result
 
     def test_retryable_fault_is_retried(self, partition_sort):
         plan = FaultPlan(
@@ -365,9 +370,11 @@ class TestFaultMatrix:
             )
         )
         with faults.inject(plan) as injector:
-            robust = HardenedAnalysis(partition_sort).global_test("append", 1)
+            result = EscapeAnalysis(
+                partition_sort, budget=AnalysisBudget()
+            ).global_test("append", 1)
         assert injector.fired == ["query@1"]
-        assert robust.exact  # the second attempt succeeded
+        assert not result.degraded  # the second attempt succeeded
 
     def test_retry_exhaustion_degrades(self, partition_sort):
         plan = FaultPlan(
@@ -377,11 +384,11 @@ class TestFaultMatrix:
             )
         )
         with faults.inject(plan):
-            robust = HardenedAnalysis(partition_sort, max_retries=1).global_test(
-                "append", 1
-            )
-        assert robust.degraded
-        assert robust.degradation.reason == "injected-fault"
+            result = EscapeAnalysis(
+                partition_sort, budget=AnalysisBudget()
+            ).global_test("append", 1)
+        assert result.degraded
+        assert result.degradation.reason == "injected-fault"
 
     def test_fatal_injection_propagates(self, partition_sort):
         plan = FaultPlan(
@@ -389,7 +396,9 @@ class TestFaultMatrix:
         )
         with faults.inject(plan):
             with pytest.raises(InjectedFault):
-                HardenedAnalysis(partition_sort).global_test("append", 1)
+                EscapeAnalysis(partition_sort, budget=AnalysisBudget()).global_test(
+                    "append", 1
+                )
 
     def test_alloc_failure_surfaces_in_the_runtime(self):
         program = prelude_program(["append"], "append [1, 2] [3]")
@@ -677,9 +686,10 @@ class TestSharedSession:
 
     @pytest.mark.parametrize("name", ["partition_sort.nml", "reverse.nml"])
     def test_hardened_analysis_infers_once(self, name, work_counts):
-        # The session's base inference types the program; the engine reads
-        # its parameter types from the annotations that inference stamped.
-        HardenedAnalysis(parse_program((EXAMPLES / name).read_text()))
+        # The session's base inference types the program; a budgeted query
+        # reads its parameter types from the types that inference stamped.
+        program = parse_program((EXAMPLES / name).read_text())
+        EscapeAnalysis(program, budget=AnalysisBudget())
         assert work_counts == {"infer": 1, "sessions": 1}
 
     def test_harden_optimize_work_count_gate(self, work_counts):
@@ -722,14 +732,77 @@ class TestSharedSession:
 
 
 class TestDegradationRecord:
-    def test_str_includes_reason_stage_and_spend(self):
+    def test_str_includes_reason_stage_and_message(self):
         d = Degradation(reason="deadline-exceeded", stage="fixpoint", message="slow")
         text = str(d)
         assert "deadline-exceeded" in text and "fixpoint" in text and "slow" in text
 
     def test_original_exception_preserved(self, partition_sort):
-        engine = HardenedAnalysis(
+        analysis = EscapeAnalysis(
             partition_sort, budget=AnalysisBudget(max_fixpoint_iterations=1)
         )
-        robust = engine.global_test("append", 1)
-        assert isinstance(robust.degradation.error, IterationBudgetExceeded)
+        result = analysis.global_test("append", 1)
+        assert isinstance(result.degradation.error, IterationBudgetExceeded)
+
+    def test_degraded_answer_holds_no_frames(self, partition_sort):
+        analysis = EscapeAnalysis(partition_sort, budget=AnalysisBudget(max_eval_steps=10))
+        result = analysis.global_test("append", 1)
+        assert result.degraded
+        assert result.degradation.error.__traceback__ is None
+
+
+# ---------------------------------------------------------------------------
+# one front door: a budget is an argument of EscapeAnalysis
+# ---------------------------------------------------------------------------
+
+CORPUS = sorted(EXAMPLES.rglob("*.nml"))
+
+
+def _answers(results) -> list[tuple]:
+    return [
+        (r.kind, r.function, r.param_index, r.param_spines, r.result, r.degraded)
+        for r in results
+    ]
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize(
+        "path", CORPUS, ids=lambda p: p.relative_to(EXAMPLES).as_posix()
+    )
+    def test_unlimited_budget_is_exact_and_a_starved_one_is_worst(self, path):
+        source = path.read_text()
+        exact = EscapeAnalysis(parse_program(source))
+        unlimited = EscapeAnalysis(parse_program(source), budget=AnalysisBudget())
+        starved = EscapeAnalysis(
+            parse_program(source), budget=AnalysisBudget(deadline_s=0.0)
+        )
+        for name in exact.function_names():
+            if arity(exact.scheme(name).body) == 0:
+                continue
+            expected = exact.global_all(name)
+            assert _answers(unlimited.global_all(name)) == _answers(expected)
+            worst = starved.global_all(name)
+            assert len(worst) == len(expected)
+            for answer, result in zip(worst, expected):
+                assert answer.param_spines == result.param_spines
+                assert answer.result == Escapement(1, answer.param_spines)
+                assert answer.degradation.reason == "deadline-exceeded"
+
+    @pytest.mark.parametrize("call", ["car [[1]]", "id append [1] [2]"])
+    def test_local_test_without_a_worst_case_propagates(self, call):
+        # The worst case needs the head's parameter types: a primitive head
+        # has none, and over-applying `id` runs past them.
+        program = parse_program(
+            "id y = y;\n" + prelude_source(["append"], "append [1] [2]")
+        )
+        analysis = EscapeAnalysis(program, budget=AnalysisBudget(deadline_s=0.0))
+        with pytest.raises(DeadlineExceeded):
+            analysis.local_test(call)
+
+    def test_budget_and_meter_are_exclusive(self, partition_sort):
+        with pytest.raises(AnalysisError):
+            EscapeAnalysis(
+                partition_sort,
+                meter=AnalysisBudget().start(),
+                budget=AnalysisBudget(),
+            )

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from repro.escape.analyzer import EscapeAnalysis
 from repro.robust.budget import AnalysisBudget
-from repro.robust.engine import HardenedAnalysis
 
 from .strategies import analysis_budget, list_function_program
 
@@ -20,11 +19,11 @@ from .strategies import analysis_budget, list_function_program
 def test_budgeted_answers_dominate_exact(case, budget):
     program, _ = case
     exact = EscapeAnalysis(program).global_all("f")
-    robust = HardenedAnalysis(program, budget=budget).global_all("f")
+    robust = EscapeAnalysis(program, budget=budget).global_all("f")
     assert len(robust) == len(exact)
     for e, r in zip(exact, robust):
-        assert e.result.leq(r.result.result), (
-            f"degraded answer {r.result.result} under budget [{budget}] "
+        assert e.result.leq(r.result), (
+            f"degraded answer {r.result} under budget [{budget}] "
             f"dropped below the exact {e.result}"
         )
         if r.degraded:
@@ -37,7 +36,7 @@ def test_budgeted_answers_dominate_exact(case, budget):
 def test_unlimited_budget_is_exact(case):
     program, _ = case
     exact = EscapeAnalysis(program).global_all("f")
-    robust = HardenedAnalysis(program, budget=AnalysisBudget()).global_all("f")
+    robust = EscapeAnalysis(program, budget=AnalysisBudget()).global_all("f")
     for e, r in zip(exact, robust):
-        assert r.exact
-        assert e.result == r.result.result
+        assert not r.degraded
+        assert e.result == r.result

@@ -16,11 +16,13 @@ import os
 import signal
 import socket
 import statistics
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from repro.serve import (
     serve,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 APPEND = prelude_source(["append"], "append [1, 2] [3]")
 REV = prelude_source(["append", "rev"], "rev [1, 2, 3]")
 
@@ -81,6 +84,18 @@ def test_analyze_starved_deadline_degrades_not_fails(service):
         r["degradation"]["reason"] for r in doc["results"] if r.get("degraded")
     }
     assert "deadline" in "".join(reasons)
+
+
+def test_analyze_refuses_a_value_binding_as_the_exact_analysis_does(service):
+    # Refused before the query runs, so a starved deadline words it the same.
+    source = "xs = [1, 2]; id y = y; id xs"
+    for extra in ({}, {"deadline_ms": 0}):
+        status, doc = service.handle("analyze", {"source": source, **extra})
+        assert status == 200
+        assert doc["results"][0] == {
+            "function": "xs",
+            "error": "xs takes no arguments (type int list)",
+        }
 
 
 def test_check_clean_program(service):
@@ -499,3 +514,37 @@ def test_serve_shuts_down_gracefully_on_sigterm(tmp_path):
     assert "shut down cleanly" in output
     # the previous signal disposition is restored
     assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
+def test_cli_daemon_records_into_the_cli_flight_recorder(tmp_path):
+    """``repro serve`` keeps one black box: the recorder the CLI installed.
+    Each degradation dumps once, and ``/debug/flight`` reports those dumps."""
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_FLIGHT_DIR=str(tmp_path)
+    )
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        cwd=ROOT,
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = daemon.stderr.readline()
+        assert "listening on" in line, line
+        base = line.split("listening on ", 1)[1].strip()
+        source = (ROOT / "examples" / "partition_sort.nml").read_text()
+        body = json.dumps({"source": source, "deadline_ms": 0}).encode()
+        status, doc = _post(base, "analyze", body)
+        assert status == 200 and doc["degraded"]
+        with urllib.request.urlopen(f"{base}/debug/flight", timeout=30) as response:
+            flight = json.loads(response.read())
+    finally:
+        daemon.terminate()
+        daemon.communicate(timeout=30)
+    assert daemon.returncode == 0
+    dumps = sorted(path.name for path in tmp_path.glob("*.jsonl"))
+    # append, split and ps each degrade once
+    assert len(dumps) == flight["triggers"] == 3, dumps
+    assert sorted(Path(path).name for path in flight["dumps"]) == dumps
+    assert all(name.startswith("flight-") for name in dumps), dumps
