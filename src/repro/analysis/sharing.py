@@ -55,8 +55,7 @@ def _escape_inputs(analysis: EscapeResults, function: str) -> tuple[tuple[int, .
     results = analysis.global_all(function)
     esc = tuple(r.escaping_spines for r in results)
     d = tuple(r.param_spines for r in results)
-    solved = analysis.solve(None)
-    fn_type = analysis.binding_type(function, solved)
+    fn_type = analysis.binding_type(function)
     result_type = fun_args(fn_type)[1]
     d_f = spines(result_type)
     if d_f == 0:

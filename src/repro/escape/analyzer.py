@@ -186,8 +186,11 @@ class EscapeAnalysis:
 
     def binding_type(self, name: str, solved: SolvedProgram | None = None) -> Type:
         """The inferred monotype of a top-level binding on the solved
-        clone (solves at the default instance if none is given)."""
-        return self._binding_type(solved or self.solve(None), name)
+        clone; without one, the type the unpinned solve analyzes, read
+        without solving."""
+        if solved is None:
+            return self.session.base_type(name)
+        return self._binding_type(solved, name)
 
     # -- global test (§4.1) ---------------------------------------------------
 

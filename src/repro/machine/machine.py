@@ -2,7 +2,7 @@
 
 This is the operational layer §3.3 alludes to ("we can give such a
 definition"): a stack machine over the *same* instrumented heap, regions,
-and primitive semantics as the tree-walking interpreter, so the two can be
+and primitive semantics as the standard interpreter, so the two can be
 checked against each other — results, allocation counts, reuse counts, and
 region reclamation all agree instruction-for-step (validated in
 ``tests/test_machine.py``).

@@ -91,7 +91,9 @@ class Collector:
         self.heap = heap
         self.threshold = threshold
         self.budgets = dict(budgets) if budgets else {}
-        self._allocs_at_last_gc = 0
+        #: The ``heap_allocs`` count at which :meth:`maybe_collect` next
+        #: triggers; safepoints compare against it without a call.
+        self.due_at = threshold
         #: Cons cells pushed onto the mark stack during the last collect;
         #: with push-time dedup this equals the distinct live cells seen.
         self.mark_pushes = 0
@@ -109,7 +111,7 @@ class Collector:
         heap.metrics.gc_runs += 1
         heap.metrics.gc_marked += mark_work
         heap.metrics.gc_swept += swept
-        self._allocs_at_last_gc = heap.metrics.heap_allocs
+        self.due_at = heap.metrics.heap_allocs + self.threshold
         tracing = obs.tracing()
         if tracing is not None:
             tracing.emit(
@@ -130,7 +132,7 @@ class Collector:
         return GcStats(marked=mark_work, swept=swept, live_after=len(heap.cells))
 
     def maybe_collect(self, roots: Iterable["Value | Env"]) -> GcStats | None:
-        if self.heap.metrics.heap_allocs - self._allocs_at_last_gc >= self.threshold:
+        if self.heap.metrics.heap_allocs >= self.due_at:
             return self.collect(roots)
         return None
 

@@ -7,6 +7,10 @@ escape analysis targets.  Lists are aliased cons cells; ``dcons`` mutates
 them; optimizer annotations direct individual ``cons`` sites into stack or
 block regions; and a mark–sweep collector can run at allocation safepoints.
 
+The interpreter compiles each node into a Python closure (see
+:class:`Interpreter`); the abstract machine (:mod:`repro.machine`) stays the
+independent reference that M1 checks it against.
+
 Region protocol (used by the optimizers in :mod:`repro.opt`):
 
 * an expression annotated ``annotations["region"] = {"kind": "stack"|
@@ -22,7 +26,7 @@ Region protocol (used by the optimizers in :mod:`repro.opt`):
 from __future__ import annotations
 
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.lang.ast import (
     App,
@@ -37,7 +41,7 @@ from repro.lang.ast import (
     Program,
     Var,
 )
-from repro.lang.errors import EvalError
+from repro.lang.errors import EvalError, SourceSpan
 from repro.lang.parser import parse_expr
 from repro.obs import tracer as obs
 from repro.robust import faults
@@ -58,15 +62,25 @@ from repro.semantics.values import (
     VNil,
     VPrim,
     VTuple,
-    expect_int,
 )
+
+#: A compiled node: evaluates it in an environment.
+Code = Callable[[Env], Value]
+
 
 class Interpreter:
     """Evaluates nml programs over the instrumented heap.
 
-    ``auto_gc`` runs the collector at application safepoints once the live
-    heap exceeds ``gc_threshold`` cells; leave it off for precise
-    allocation-count experiments and on for GC-work experiments.
+    ``auto_gc`` runs the collector at application safepoints once
+    ``gc_threshold`` heap cells have been allocated since the last
+    collection; leave it off for precise allocation-count experiments and
+    on for GC-work experiments.
+
+    Evaluation compiles each node, the first time it is met, into one
+    Python closure with its children's closures, constants, span and
+    region spec bound; every later visit calls that closure.  The compiled
+    code lives only while an evaluation (``run``, ``eval_in``, ``eval`` or
+    ``apply``) is under way, so it never outlives a node's annotations.
     """
 
     def __init__(
@@ -93,6 +107,11 @@ class Interpreter:
         # values Python-stack frames are holding across nested evaluation.
         self._env_stack: list[Env] = []
         self._temp_roots: list[Value] = []
+        #: Compiled code by node identity, ``id(node) -> (node, code)``:
+        #: holding the node keeps its id from being reused while the entry
+        #: lives.  Emptied when an evaluation returns, which also breaks
+        #: the cycle from the closures back to this interpreter.
+        self._code: dict[int, tuple[Expr, Code]] = {}
 
     # -- entry points -----------------------------------------------------
 
@@ -109,6 +128,18 @@ class Interpreter:
         letrec = Letrec(bindings=program.bindings, body=body)
         return self._with_recursion_limit(lambda: self.eval(letrec, Env()))
 
+    def eval(self, expr: Expr, env: Env) -> Value:
+        try:
+            return self._code_for(expr)(env)
+        finally:
+            self._code.clear()
+
+    def apply(self, fn_value: Value, arg: Value, node: App | None = None) -> Value:
+        try:
+            return self._apply(fn_value, arg, node.span if node else None)
+        finally:
+            self._code.clear()
+
     def _with_recursion_limit(self, thunk):
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous, self.recursion_limit))
@@ -117,122 +148,225 @@ class Interpreter:
         finally:
             sys.setrecursionlimit(previous)
 
-    # -- roots / safepoints -------------------------------------------------
+    # -- roots ----------------------------------------------------------------
 
     def roots(self) -> Iterable["Value | Env"]:
         yield from self._env_stack
         yield from self._temp_roots
 
-    def _safepoint(self) -> None:
-        if faults.take_forced_gc():
-            # Injected adversarial GC: collect with the true root set, so a
-            # sound engine survives it and an unsound one trips a sanitizer.
-            self.gc.collect(self.roots())
-        if self.auto_gc:
-            self.gc.maybe_collect(self.roots())
+    # -- application ------------------------------------------------------------
 
-    # -- the evaluator ---------------------------------------------------------
-
-    def eval(self, expr: Expr, env: Env) -> Value:
-        self.metrics.eval_steps += 1
-
-        region_spec = expr.annotations.get("region")
-        if region_spec is not None:
-            kind = AllocKind.STACK if region_spec.get("kind") == "stack" else AllocKind.BLOCK
-            region = self.heap.open_region(kind, label=region_spec.get("label", ""))
-            try:
-                result = self._eval_core(expr, env)
-            except BaseException:
-                self.heap.close_region(region)
-                raise
-            live_roots = (
-                [result, *self.roots()] if self.sanitizer is not None else None
-            )
-            self.heap.close_region(region, escaping=result, live_roots=live_roots)
-            return result
-        return self._eval_core(expr, env)
-
-    def _eval_core(self, expr: Expr, env: Env) -> Value:
-        if isinstance(expr, IntLit):
-            return VInt(expr.value)
-        if isinstance(expr, BoolLit):
-            return TRUE if expr.value else FALSE
-        if isinstance(expr, NilLit):
-            return NIL
-        if isinstance(expr, Prim):
-            return VPrim(expr)
-        if isinstance(expr, Var):
-            return env.lookup(expr.name)
-        if isinstance(expr, Lambda):
-            return VClosure(expr, env)
-        if isinstance(expr, If):
-            cond = self.eval(expr.cond, env)
-            if not isinstance(cond, VBool):
-                raise EvalError(f"if condition is not a bool: {cond}", expr.cond.span)
-            branch = expr.then if cond.value else expr.otherwise
-            return self.eval(branch, env)
-        if isinstance(expr, Letrec):
-            return self._eval_letrec(expr, env)
-        if isinstance(expr, App):
-            return self._eval_app(expr, env)
-        raise EvalError(f"cannot evaluate {type(expr).__name__}", expr.span)
-
-    def _eval_app(self, expr: App, env: Env) -> Value:
-        self._safepoint()
-        self._env_stack.append(env)
-        try:
-            fn_value = self.eval(expr.fn, env)
-            self._temp_roots.append(fn_value)
-            try:
-                arg_value = self.eval(expr.arg, env)
-                self._temp_roots.append(arg_value)
-                try:
-                    return self.apply(fn_value, arg_value, expr)
-                finally:
-                    self._temp_roots.pop()
-            finally:
-                self._temp_roots.pop()
-        finally:
-            self._env_stack.pop()
-
-    def _eval_letrec(self, expr: Letrec, env: Env) -> Value:
-        # The frame dict is shared (not copied) so closures created while
-        # filling it see every binding — that is the recursive knot.
-        frame: dict[str, Value] = {}
-        inner = Env(env, frame)
-        self._env_stack.append(inner)
-        try:
-            for binding in expr.bindings:
-                if isinstance(binding.expr, Lambda):
-                    frame[binding.name] = VClosure(binding.expr, inner, binding.name)
-                else:
-                    frame[binding.name] = self.eval(binding.expr, inner)
-            return self.eval(expr.body, inner)
-        finally:
-            self._env_stack.pop()
-
-    # -- application ----------------------------------------------------------
-
-    def apply(self, fn_value: Value, arg: Value, node: App | None = None) -> Value:
+    def _apply(self, fn_value: Value, arg: Value, span: SourceSpan | None) -> Value:
         self.metrics.applications += 1
         if isinstance(fn_value, VClosure):
-            call_env = fn_value.env.bind(fn_value.lam.param, arg)
+            lam = fn_value.lam
+            call_env = Env(fn_value.env, {lam.param: arg})
             self._env_stack.append(call_env)
             try:
-                return self.eval(fn_value.lam.body, call_env)
+                return self._code_for(lam.body)(call_env)
             finally:
                 self._env_stack.pop()
         if isinstance(fn_value, VPrim):
+            prim = fn_value.prim
             args = fn_value.args + (arg,)
-            if len(args) < fn_value.prim.arity:
-                return VPrim(fn_value.prim, args)
-            return self._exec_prim(fn_value.prim, args, node)
-        raise EvalError(
-            f"cannot apply non-function {fn_value}", node.span if node else None
-        )
+            if len(args) < prim.arity:
+                return VPrim(prim, args)
+            return exec_prim(self.heap, prim, args, span)
+        raise EvalError(f"cannot apply non-function {fn_value}", span)
 
     def _exec_prim(self, prim: Prim, args: tuple[Value, ...], node: App | None) -> Value:
         return exec_prim(self.heap, prim, args, node.span if node else None)
+
+    # -- the compiler -------------------------------------------------------------
+
+    def _code_for(self, expr: Expr) -> Code:
+        entry = self._code.get(id(expr))
+        if entry is not None:
+            return entry[1]
+        return self._compile(expr)
+
+    def _compile(self, root: Expr) -> Code:
+        """Compile ``root`` and every node under it not yet compiled,
+        children before parents, with an explicit stack: compiling needs no
+        Python recursion.  A lambda's body waits for its first application."""
+        code = self._code
+        pending: list[tuple[Expr, bool]] = [(root, False)]
+        while pending:
+            node, children_done = pending.pop()
+            if id(node) in code:
+                continue
+            if children_done:
+                code[id(node)] = (node, self._build(node))
+                continue
+            pending.append((node, True))
+            pending.extend(
+                (child, False)
+                for child in _evaluated_children(node)
+                if id(child) not in code
+            )
+        return code[id(root)][1]
+
+    def _build(self, expr: Expr) -> Code:
+        """The closure for ``expr``; its children's code is already built."""
+        core = self._build_core(expr)
+        region_spec = expr.annotations.get("region")
+        if region_spec is None:
+            return core
+        kind = AllocKind.STACK if region_spec.get("kind") == "stack" else AllocKind.BLOCK
+        label = region_spec.get("label", "")
+        heap, sanitizer, roots = self.heap, self.sanitizer, self.roots
+
+        # ``core`` counts the node's eval step after the region opens;
+        # opening a region reads no counter, so the count is the same.
+        def region_scope(env: Env) -> Value:
+            region = heap.open_region(kind, label=label)
+            try:
+                result = core(env)
+            except BaseException:
+                heap.close_region(region)
+                raise
+            live_roots = [result, *roots()] if sanitizer is not None else None
+            heap.close_region(region, escaping=result, live_roots=live_roots)
+            return result
+
+        return region_scope
+
+    def _build_core(self, expr: Expr) -> Code:
+        metrics = self.metrics
+        code = self._code
+
+        if isinstance(expr, (IntLit, BoolLit, NilLit, Prim)):
+            value = _constant(expr)
+
+            def constant(env: Env) -> Value:
+                metrics.eval_steps += 1
+                return value
+
+            return constant
+
+        if isinstance(expr, Var):
+            name = expr.name
+
+            def variable(env: Env) -> Value:
+                metrics.eval_steps += 1
+                scope: Env | None = env
+                while scope is not None:
+                    frame = scope.frame
+                    if name in frame:
+                        return frame[name]
+                    scope = scope.parent
+                raise EvalError(f"unbound identifier {name!r} at run time")
+
+            return variable
+
+        if isinstance(expr, Lambda):
+            lam = expr
+
+            def closure(env: Env) -> Value:
+                metrics.eval_steps += 1
+                return VClosure(lam, env)
+
+            return closure
+
+        if isinstance(expr, If):
+            cond_code = code[id(expr.cond)][1]
+            then_code = code[id(expr.then)][1]
+            else_code = code[id(expr.otherwise)][1]
+            cond_span = expr.cond.span
+
+            def branch(env: Env) -> Value:
+                metrics.eval_steps += 1
+                cond = cond_code(env)
+                if cond is TRUE:
+                    return then_code(env)
+                if cond is FALSE:
+                    return else_code(env)
+                if not isinstance(cond, VBool):
+                    raise EvalError(f"if condition is not a bool: {cond}", cond_span)
+                return then_code(env) if cond.value else else_code(env)
+
+            return branch
+
+        env_stack = self._env_stack
+        push_env, pop_env = env_stack.append, env_stack.pop
+
+        if isinstance(expr, Letrec):
+            # A lambda binding becomes a closure without being evaluated (no
+            # eval step); the other bindings are evaluated in order.
+            plan = [
+                (b.name, b.expr, None)
+                if isinstance(b.expr, Lambda)
+                else (b.name, None, code[id(b.expr)][1])
+                for b in expr.bindings
+            ]
+            body_code = code[id(expr.body)][1]
+
+            def letrec(env: Env) -> Value:
+                metrics.eval_steps += 1
+                # The frame dict is shared (not copied) so closures created
+                # while filling it see every binding — the recursive knot.
+                frame: dict[str, Value] = {}
+                inner = Env(env, frame)
+                push_env(inner)
+                try:
+                    for name, lam, bound_code in plan:
+                        if lam is not None:
+                            frame[name] = VClosure(lam, inner, name)
+                        else:
+                            frame[name] = bound_code(inner)
+                    return body_code(inner)
+                finally:
+                    pop_env()
+
+            return letrec
+
+        if isinstance(expr, App):
+            fn_code = code[id(expr.fn)][1]
+            arg_code = code[id(expr.arg)][1]
+            span = expr.span
+            apply = self._apply
+            temp_roots = self._temp_roots
+            push_temp, pop_temp = temp_roots.append, temp_roots.pop
+            gc, auto_gc, roots = self.gc, self.auto_gc, self.roots
+            take_forced_gc = faults.take_forced_gc
+
+            def application(env: Env) -> Value:
+                metrics.eval_steps += 1
+                # Every application is a safepoint, taken before its
+                # function is evaluated.  An injected adversarial GC comes
+                # first and collects with the true root set, so a sound
+                # engine survives it and an unsound one trips a sanitizer;
+                # then the allocation-budget trigger.  ``collect`` is
+                # looked up on the collector each time one runs.
+                if take_forced_gc():
+                    gc.collect(roots())
+                if auto_gc and metrics.heap_allocs >= gc.due_at:
+                    gc.collect(roots())
+                push_env(env)
+                try:
+                    fn_value = fn_code(env)
+                    push_temp(fn_value)
+                    try:
+                        arg_value = arg_code(env)
+                        push_temp(arg_value)
+                        try:
+                            return apply(fn_value, arg_value, span)
+                        finally:
+                            pop_temp()
+                    finally:
+                        pop_temp()
+                finally:
+                    pop_env()
+
+            return application
+
+        type_name, span = type(expr).__name__, expr.span
+
+        def unknown(env: Env) -> Value:
+            metrics.eval_steps += 1
+            raise EvalError(f"cannot evaluate {type_name}", span)
+
+        return unknown
 
     # -- Python interop -----------------------------------------------------------
 
@@ -280,6 +414,29 @@ class Interpreter:
                 raise EvalError(f"improper list tail {current}")
             return items
         raise EvalError(f"cannot convert {value} to Python")
+
+
+def _constant(expr: "IntLit | BoolLit | NilLit | Prim") -> Value:
+    if isinstance(expr, IntLit):
+        return VInt(expr.value)
+    if isinstance(expr, BoolLit):
+        return TRUE if expr.value else FALSE
+    if isinstance(expr, NilLit):
+        return NIL
+    return VPrim(expr)
+
+
+def _evaluated_children(expr: Expr) -> tuple[Expr, ...]:
+    """The subexpressions ``expr``'s code calls directly: not a lambda's
+    body, nor the lambdas a letrec binds."""
+    if isinstance(expr, App):
+        return (expr.fn, expr.arg)
+    if isinstance(expr, If):
+        return (expr.cond, expr.then, expr.otherwise)
+    if isinstance(expr, Letrec):
+        bound = tuple(b.expr for b in expr.bindings if not isinstance(b.expr, Lambda))
+        return bound + (expr.body,)
+    return ()
 
 
 def run_program(program: Program, **kwargs) -> tuple[object, StorageMetrics]:

@@ -1,4 +1,4 @@
-"""Primitive execution, shared by the tree-walking interpreter, the dual
+"""Primitive execution, shared by the standard interpreter, the dual
 (exact-semantics) interpreter, and the abstract machine.
 
 One function, one source of truth for the dynamic semantics of every

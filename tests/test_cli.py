@@ -310,6 +310,16 @@ class TestRobustFlags:
         assert main(["analyze", PARTITION_SORT, "--sharing", "--robust"]) == 0
         assert capsys.readouterr().out == exact
 
+    def test_sharing_under_a_spent_deadline_solves_nothing(self, capsys):
+        # The Theorem 2 lines read the result type without solving, so a
+        # deadline that degrades every answer also bounds the command.
+        args = ["analyze", PARTITION_SORT, "--deadline-ms", "0", "--sharing", "--stats"]
+        assert main(args) == 3
+        stats = capsys.readouterr().out.splitlines()[-1]
+        assert "solve cache 0 hit(s) / 0 miss(es)" in stats
+        assert "scc cache 0 hit(s) / 0 miss(es)" in stats
+        assert "0 fixpoint iteration(s), 0 eval step(s)" in stats
+
     def test_optimize_robust_prints_the_same_bytes_every_run(self, capsys):
         outputs = []
         for _ in range(2):
