@@ -30,7 +30,6 @@ from repro.robust.chaos import (
     soak_serve,
 )
 from repro.robust.faults import FaultPlan, SlowStage
-from repro.robust.resilience import RetryPolicy
 
 SEED = 20260808
 
@@ -78,7 +77,7 @@ def test_sk1_chaos_soak_always_answers(tmp_path):
         store_root=store,
         jobs=2,
         timeout_s=0.3,
-        retry=RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.05, seed=SEED),
+        max_attempts=2,
         fault_plan=FaultPlan(
             slow_stages=(SlowStage("worker", at=1, every=1, seconds=5.0),)
         ),

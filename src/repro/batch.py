@@ -1,5 +1,5 @@
 """Supervised parallel batch analysis: a corpus of ``.nml`` programs
-through one store, under the resilience policy engine.
+through one store, on supervised worker processes.
 
 ``repro batch <dir>`` fans the corpus across supervised worker processes.
 Each file builds its own :class:`~repro.query.AnalysisSession` (sessions
@@ -13,26 +13,27 @@ inputs agree (:func:`repro.query.scc_digest`), and the store's atomic,
 content-addressed writes make concurrent workers racing on a common digest
 harmless (both write the same bytes).
 
-The driver forks at most ``jobs`` workers, each once per run, and hands
-each one file at a time over a Pipe; a fresh fork per file made a corpus
-snapshot about half again as slow.  Nothing a file does may reach the next
-file's answer: the tracer, fault plan and trace context are set up per
-file, and the type-variable counter goes back to where the fork left it,
-because snapshot scheme texts depend on it.
+The driver forks at most ``jobs`` workers (one when ``jobs <= 1``), each
+once per run, and hands each one file at a time over a Pipe; a fresh fork
+per file made a corpus snapshot about half again as slow.  There is no
+in-process path: one worker answering every file in a row is the serial
+run.  Nothing a file does may reach the next file's answer: the tracer,
+fault plan, trace context and flight recorder are set up per attempt, and
+the type-variable counter goes back to where the fork left it, because
+snapshot scheme texts depend on it.
 
-The driver supervises rather than trusts its workers
-(:mod:`repro.robust.resilience`):
+The driver supervises rather than trusts its workers:
 
 * every worker attempt gets a **per-file wall-clock timeout**
   (``timeout_s``, counted from dispatch); a hung worker is terminated
   and replaced;
-* a **crashed** worker (hard exit, broken pipe) is restarted with
-  exponential backoff and deterministic jitter
-  (:class:`~repro.robust.resilience.RetryPolicy`);
+* a **crashed** worker (hard exit, broken pipe) is replaced, and its file
+  goes straight back on the queue (a ``retry`` event) until it has used
+  ``max_attempts`` attempts;
 * a file that fails all its attempts is **quarantined** into the report
-  (:class:`~repro.robust.resilience.Quarantine`) — the batch keeps its
-  throughput and the poison input keeps its failure history, instead of
-  either sinking the run;
+  (a ``quarantine`` event) — the batch keeps its throughput and the
+  poison input keeps its attempt count and last error, instead of either
+  sinking the run;
 * **budget exhaustion degrades**: with ``deadline_ms`` set, workers run
   every query under that budget and a breached analysis deadline yields
   the sound ``W^τ`` worst case (reported ``degraded``), never an error.
@@ -40,16 +41,13 @@ The driver supervises rather than trusts its workers
 An ordinary failure *inside* a file — parse error, type error — is still
 contained by the worker itself and answered in one attempt; supervision
 exists for the failures the worker cannot contain (its own death).
-Timeouts and crash restarts need a worker *process* to kill, so they
-engage whenever ``timeout_s`` is set or ``jobs > 1``; the plain in-process
-path (``jobs <= 1``, no timeout) remains the fault-injection-friendly one,
-where injected worker crashes surface as retryable exceptions.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
 import signal
 import time
@@ -76,21 +74,21 @@ from repro.lang.parser import parse_program
 from repro.obs import context as obs_context
 from repro.obs import tracer as obs
 from repro.obs.context import TraceContext
-from repro.obs.flight import FlightRecorder, dump_dir_from_env
+from repro.obs.flight import (
+    DEFAULT_MAX_DUMPS,
+    FlightRecorder,
+    dump_dir_from_env,
+    recorder,
+)
 from repro.obs.sinks import JsonlSink
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget
-from repro.robust.errors import reason_for
-from repro.robust.resilience import Quarantine, RetryPolicy
 from repro.semantics.interp import Interpreter
 from repro.store import AnalysisStore
 from repro.types.types import arity, reset_fresh_tvars
 
 #: Exit code a worker process dies with under an injected crash fault.
 WORKER_CRASH_EXIT = 23
-
-#: Default supervision policy: one retry, fast deterministic backoff.
-DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.02, max_delay_s=0.5)
 
 
 @dataclass
@@ -423,8 +421,9 @@ def analyze_one(
     yields the sound ``W^τ`` worst case for the parameters it cut short
     and the report is flagged ``degraded`` — never an error.
 
-    Module-level and argument-picklable on purpose: the supervisor ships
-    it to worker processes under any start method.
+    Module-level on purpose: :func:`run_batch` binds the options with
+    :func:`functools.partial`, and the bound body must stay picklable for
+    any start method.
     """
     try:
         program = parse_program(Path(path).read_text())
@@ -469,8 +468,12 @@ def analyze_one(
             degradations=degradations,
         )
         if check:
+            # The audit asks its questions through a session derived from
+            # the file's, so an SCC the analysis solved is not solved again.
             try:
-                report.check = check_program(program, path=str(path)).counts()
+                report.check = check_program(
+                    program, path=str(path), session=analysis.session
+                ).counts()
             except Exception as error:  # contained like an analysis error
                 report.check_error = f"{type(error).__name__}: {error}"
         if collector is not None:
@@ -492,15 +495,12 @@ class _Task:
     """One corpus file moving through the supervision state machine."""
 
     index: int
-    args: tuple
+    path: str
     #: the file's root trace context — worker attempts run child hops of it
     ctx: "TraceContext | None" = None
     attempts: int = 0
-    errors: list = field(default_factory=list)
-
-    @property
-    def path(self) -> str:
-        return self.args[0]
+    #: why the last failed attempt failed
+    error: str = ""
 
 
 def _quarantined_report(task: _Task, reason: str) -> FileReport:
@@ -509,7 +509,7 @@ def _quarantined_report(task: _Task, reason: str) -> FileReport:
     return FileReport(
         path=task.path,
         ok=False,
-        error=task.errors[-1] if task.errors else reason,
+        error=task.error,
         quarantined=True,
         attempts=task.attempts,
         degradations=[f"quarantined: {reason}"],
@@ -573,22 +573,26 @@ def _worker_loop(conn, worker, supervisor_ends: list) -> None:
 def _answer(
     conn,
     worker,
-    args: tuple,
+    path: str,
     plan,
     crash: bool,
     hang_s: float,
     ctx_wire: "dict | None",
     shard_path: "str | None",
     launch: int,
+    flight: "tuple[Path, int] | None",
 ) -> None:
     """One worker attempt: activate the (stripped) fault plan, honour the
-    supervisor's crash/hang verdicts, analyze, ship the report back.
+    supervisor's crash/hang verdicts, run ``worker(path)``, ship the report
+    back with the number of flight dumps the attempt wrote.
 
     ``ctx_wire`` is the file's trace context carried across the Pipe — the
     driver's hop, which the worker re-attaches so every event it emits
     (``transfer_eval``, ``worklist_*``, ``degradation``, ...) is stamped
     with the originating trace_id.  ``shard_path`` names the attempt's own
-    JSONL shard; the driver merges shards after the run.
+    JSONL shard; the driver merges shards after the run.  ``flight`` is
+    ``(dump_dir, max_dumps)`` when the attempt's own flight recorder may
+    dump its black box, ``None`` once the run's dumps are spent.
     """
     ctx = TraceContext.from_wire(ctx_wire)
     with contextlib.ExitStack() as stack:
@@ -597,14 +601,14 @@ def _answer(
             sink = JsonlSink.open(shard_path)
             stack.callback(sink.close)
             sinks.append(sink)
-        flight_dir = dump_dir_from_env()
-        if flight_dir is not None:
-            sinks.append(
-                FlightRecorder(
-                    dump_dir=flight_dir,
-                    label=f"worker-flight-{os.getpid()}-{launch:04d}",
-                )
+        box = None
+        if flight is not None:
+            box = FlightRecorder(
+                dump_dir=flight[0],
+                max_dumps=flight[1],
+                label=f"worker-flight-{os.getpid()}-{launch:04d}",
             )
+            sinks.append(box)
         if sinks:
             stack.enter_context(obs.activate(obs.Tracer(sinks=sinks)))
         if ctx is not None:
@@ -618,20 +622,19 @@ def _answer(
                     os._exit(WORKER_CRASH_EXIT)
                 if hang_s:
                     time.sleep(hang_s)
-                report = (worker or analyze_one)(*args)
+                report = worker(path)
             if ctx is not None:
                 report.trace_id = ctx.trace_id
-            conn.send(report)
+            conn.send((report, len(box.dumps) if box is not None else 0))
         except Exception as error:  # answer even on unexpected worker errors
             with contextlib.suppress(Exception):
-                conn.send(
-                    FileReport(
-                        path=args[0],
-                        ok=False,
-                        error=f"{type(error).__name__}: {error}",
-                        trace_id=ctx.trace_id if ctx is not None else "",
-                    )
+                report = FileReport(
+                    path=path,
+                    ok=False,
+                    error=f"{type(error).__name__}: {error}",
+                    trace_id=ctx.trace_id if ctx is not None else "",
                 )
+                conn.send((report, len(box.dumps) if box is not None else 0))
 
 
 @dataclass(eq=False)
@@ -656,41 +659,45 @@ def _stop(worker: _Worker, kill: bool) -> None:
 
 
 def _run_supervised(
-    work: list[tuple],
+    paths: list[str],
+    worker,
     jobs: int,
-    retry: RetryPolicy,
+    max_attempts: int,
     timeout_s: float | None,
     plan,
-    quarantine: Quarantine,
     contexts: "list[TraceContext] | None" = None,
     trace_dir: "str | None" = None,
-    worker=None,
+    flight_dir: "Path | None" = None,
 ) -> list[FileReport]:
     """Supervision over at most ``jobs`` long-lived workers: per-file
-    preemptive timeouts, crash replacement with backoff, quarantine after
-    exhausted attempts.
+    preemptive timeouts, crash replacement, quarantine after
+    ``max_attempts`` failed attempts.
 
     A worker is forked when there is a file for it and fewer than ``jobs``
     workers are alive, and then answers one file per message.  It is
     replaced only when it dies or overruns a file's deadline (which runs
-    from dispatch); every worker is shut down and reaped before this
-    returns.
+    from dispatch), and the file goes back on the queue; every worker is
+    shut down and reaped before this returns.
 
     With ``contexts`` (one root :class:`TraceContext` per file), every
     worker attempt runs a child hop of its file's trace, and supervisor
-    events about a file (``retry``, ``timeout``, ``worker_restart``) are
-    stamped with the same trace_id.  With ``trace_dir``, each worker
-    attempt writes its own JSONL shard (``worker-NNNN.jsonl``) there.
+    events about a file (``retry``, ``timeout``, ``worker_restart``,
+    ``quarantine``) are stamped with the same trace_id.  With
+    ``trace_dir``, each worker attempt writes its own JSONL shard
+    (``worker-NNNN.jsonl``) there.  With ``flight_dir``, worker attempts
+    dump their flight recorders there until the answers have brought back
+    ``DEFAULT_MAX_DUMPS`` dumps, so a run writes at most ``jobs`` times
+    that many however large the corpus.
     """
     ctx = get_context()
     tasks = deque(
-        _Task(index=i, args=args, ctx=contexts[i] if contexts else None)
-        for i, args in enumerate(work)
+        _Task(index=i, path=path, ctx=contexts[i] if contexts else None)
+        for i, path in enumerate(paths)
     )
-    waiting: list[tuple[float, _Task]] = []  # (ready_at, task) backoff bench
     workers: list[_Worker] = []
     reports: dict[int, FileReport] = {}
     launches = 0
+    dumps_left = DEFAULT_MAX_DUMPS if flight_dir is not None else 0
 
     def stamped(task: _Task):
         return obs_context.attach(task.ctx) if task.ctx is not None else (
@@ -698,27 +705,21 @@ def _run_supervised(
         )
 
     def fail(task: _Task, cause_kind: str, cause: str) -> None:
-        task.errors.append(cause)
-        if retry.should_retry(task.attempts):
-            delay = retry.delay(task.path, task.attempts)
-            with stamped(task):
+        task.error = cause
+        with stamped(task):
+            if task.attempts < max_attempts:
                 obs.emit(
-                    "retry",
-                    key=task.path,
-                    attempt=task.attempts,
-                    delay_s=round(delay, 9),
-                    reason=cause_kind,
+                    "retry", key=task.path, attempt=task.attempts, reason=cause_kind
                 )
-            waiting.append((time.monotonic() + delay, task))
-        else:
-            with stamped(task):  # Quarantine.add emits the quarantine event
-                quarantine.add(
-                    task.path,
+                tasks.append(task)
+            else:
+                obs.emit(
+                    "quarantine",
+                    key=task.path,
                     attempts=task.attempts,
                     reason=cause_kind,
-                    errors=task.errors,
                 )
-            reports[task.index] = _quarantined_report(task, cause_kind)
+                reports[task.index] = _quarantined_report(task, cause_kind)
 
     def fork() -> _Worker:
         parent_conn, child_conn = ctx.Pipe()
@@ -739,13 +740,8 @@ def _run_supervised(
         return task
 
     try:
-        while tasks or waiting or any(w.task is not None for w in workers):
+        while tasks or any(w.task is not None for w in workers):
             now = time.monotonic()
-            # Backoff bench → ready queue.
-            ripe = [entry for entry in waiting if entry[0] <= now]
-            for entry in ripe:
-                waiting.remove(entry)
-                tasks.append(entry[1])
             # Dispatch to idle workers, forking up to ``jobs`` of them.
             while tasks:
                 run = next((w for w in workers if w.task is None), None)
@@ -765,23 +761,25 @@ def _run_supervised(
                 )
                 run.task = task
                 run.deadline = now + timeout_s if timeout_s is not None else None
+                flight = (flight_dir, dumps_left) if dumps_left > 0 else None
                 message = (
-                    task.args, child_plan, crash, hang_s, wire, shard_path, launches
+                    task.path,
+                    child_plan,
+                    crash,
+                    hang_s,
+                    wire,
+                    shard_path,
+                    launches,
+                    flight,
                 )
                 # A worker that died while idle fails this send or the next
                 # wait; either way the attempt is handled as a crash below.
                 with contextlib.suppress(OSError):
                     run.conn.send(message)
             busy = [w for w in workers if w.task is not None]
-            if not busy:
-                # Everything is on the backoff bench: sleep to the next ready.
-                if waiting:
-                    time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
-                continue
-            # Wait for an answer, a death, a deadline to pass, or a bench slot.
-            wait_until = [d for w in busy if (d := w.deadline) is not None]
-            wait_until += [t for t, _ in waiting]
-            timeout = max(0.0, min(wait_until) - time.monotonic()) if wait_until else None
+            # Wait for an answer, a death, or a deadline to pass.
+            deadlines = [d for w in busy if (d := w.deadline) is not None]
+            timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
             handles = {w.conn: w for w in busy}
             handles.update({w.process.sentinel: w for w in busy})
             ready = connection_wait(list(handles), timeout=timeout)
@@ -790,7 +788,8 @@ def _run_supervised(
                 report: FileReport | None = None
                 if run.conn.poll():
                     with contextlib.suppress(EOFError, OSError):
-                        report = run.conn.recv()
+                        report, dumped = run.conn.recv()
+                        dumps_left -= dumped
                 if report is not None:
                     report.attempts = run.task.attempts
                     reports[run.task.index] = report
@@ -838,71 +837,6 @@ def _run_supervised(
     return [reports[i] for i in sorted(reports)]
 
 
-def _run_serial(
-    work: list[tuple],
-    retry: RetryPolicy,
-    plan,
-    quarantine: Quarantine,
-    contexts: "list[TraceContext] | None" = None,
-    worker=None,
-) -> list[FileReport]:
-    """In-process supervision: no preemption (there is no process to kill),
-    but the same retry/backoff/quarantine state machine — injected worker
-    crashes surface as exceptions and take the retryable path."""
-    reports: list[FileReport] = []
-    scope = faults.inject(plan) if plan is not None else contextlib.nullcontext()
-    with scope:
-        for index, args in enumerate(work):
-            task = _Task(
-                index=len(reports),
-                args=args,
-                ctx=contexts[index] if contexts else None,
-            )
-            attach_scope = (
-                obs_context.attach(task.ctx)
-                if task.ctx is not None
-                else contextlib.nullcontext()
-            )
-            with attach_scope:
-                while True:
-                    task.attempts += 1
-                    try:
-                        faults.check_stage("worker")
-                        if faults.take_worker_crash():
-                            raise faults.InjectedFault(
-                                "injected worker crash", stage="worker"
-                            )
-                        report = (worker or analyze_one)(*args)
-                        report.attempts = task.attempts
-                        if task.ctx is not None:
-                            report.trace_id = task.ctx.trace_id
-                        reports.append(report)
-                        break
-                    except Exception as error:
-                        cause_kind = reason_for(error)
-                        task.errors.append(f"{type(error).__name__}: {error}")
-                        if retry.should_retry(task.attempts):
-                            delay = retry.delay(task.path, task.attempts)
-                            obs.emit(
-                                "retry",
-                                key=task.path,
-                                attempt=task.attempts,
-                                delay_s=round(delay, 9),
-                                reason=cause_kind,
-                            )
-                            time.sleep(delay)
-                            continue
-                        quarantine.add(
-                            task.path,
-                            attempts=task.attempts,
-                            reason=cause_kind,
-                            errors=task.errors,
-                        )
-                        reports.append(_quarantined_report(task, cause_kind))
-                        break
-    return reports
-
-
 def run_batch(
     paths: "list[str | Path]",
     store_root: "str | Path | None" = None,
@@ -912,68 +846,68 @@ def run_batch(
     check: bool = False,
     deadline_ms: float | None = None,
     timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
+    max_attempts: int = 3,
     fault_plan=None,
     collector: str | None = None,
     gc_threshold: int = 256,
     trace: bool = False,
     trace_dir: "str | Path | None" = None,
     worker=None,
-    worker_extra=None,
 ) -> BatchReport:
-    """Analyze the corpus under supervision, ``jobs``-wide.
+    """Analyze the corpus on at most ``jobs`` supervised worker processes
+    (one when ``jobs <= 1``); a file gets ``max_attempts`` attempts before
+    it is quarantined.
 
-    ``worker`` substitutes the per-file body (default :func:`analyze_one`)
-    — it must be a module-level (picklable) callable returning a
-    :class:`FileReport`; ``worker_extra`` maps each input path to a tuple
-    of extra positional arguments appended to the standard work tuple.
-    This is how ``repro diff snapshot`` rides the same supervision
-    (timeouts, crash restarts, quarantine, shared store) with a different
-    per-file job.
-
-    ``jobs <= 1`` without a ``timeout_s`` runs in-process (no worker
-    processes), which is also the fault-injection-friendly path; a
-    ``timeout_s`` forces worker processes even single-file-at-a-time,
-    because preemption needs something to kill.
+    ``worker`` substitutes the per-file body: a picklable callable of one
+    path that returns a :class:`FileReport` and carries its own options
+    (``functools.partial`` of a module-level function).  This is how
+    ``repro diff snapshot`` rides the same supervision (timeouts, crash
+    restarts, quarantine, shared store) with a different per-file job.
+    The default body is :func:`analyze_one` with ``store_root``, ``d``,
+    ``max_iterations``, ``check``, ``deadline_ms``, ``collector`` and
+    ``gc_threshold`` bound.
 
     With ``trace`` (or a ``trace_dir``), every file gets its own root
     :class:`TraceContext`; driver- and worker-side events about a file
-    are stamped with its trace_id, and supervised worker attempts write
-    per-attempt JSONL shards into ``trace_dir`` for the driver to merge.
+    are stamped with its trace_id, and worker attempts write per-attempt
+    JSONL shards into ``trace_dir`` for the driver to merge.  Worker
+    attempts' flight recorders dump into the installed recorder's
+    directory (:func:`repro.obs.flight.recorder`), or into
+    ``REPRO_FLIGHT_DIR`` when no recorder is installed, until the run's
+    ``DEFAULT_MAX_DUMPS`` are spent (at most ``jobs`` times that many).
     """
     inputs = collect_inputs(paths)
     root = str(store_root) if store_root is not None else None
     if root:
         # Sweep stale temp files once per run; workers open with reap=False.
         AnalysisStore(root)
-    retry = retry or DEFAULT_RETRY
-    quarantine = Quarantine()
-    work = [
-        (str(p), root, d, max_iterations, check, deadline_ms)
-        + ((collector, gc_threshold) if worker is None else ())
-        + (tuple(worker_extra(p)) if worker_extra is not None else ())
-        for p in inputs
-    ]
+    if worker is None:
+        worker = functools.partial(
+            analyze_one,
+            store_root=root,
+            d=d,
+            max_iterations=max_iterations,
+            check=check,
+            deadline_ms=deadline_ms,
+            collector=collector,
+            gc_threshold=gc_threshold,
+        )
     shard_dir = str(trace_dir) if trace_dir is not None else None
     contexts = (
-        [TraceContext.mint() for _ in work] if (trace or shard_dir) else None
+        [TraceContext.mint() for _ in inputs] if (trace or shard_dir) else None
     )
     if shard_dir is not None:
         Path(shard_dir).mkdir(parents=True, exist_ok=True)
-    if not work:
-        reports: list[FileReport] = []
-    elif jobs <= 1 and timeout_s is None:
-        reports = _run_serial(work, retry, fault_plan, quarantine, contexts, worker)
-    else:
-        reports = _run_supervised(
-            work,
-            max(1, jobs),
-            retry,
-            timeout_s,
-            fault_plan,
-            quarantine,
-            contexts,
-            shard_dir,
-            worker,
-        )
+    installed = recorder()
+    reports = _run_supervised(
+        [str(p) for p in inputs],
+        worker,
+        max(1, jobs),
+        max_attempts,
+        timeout_s,
+        fault_plan,
+        contexts,
+        shard_dir,
+        installed.dump_dir if installed is not None else dump_dir_from_env(),
+    )
     return BatchReport(reports=reports, jobs=max(1, jobs), store_root=root)

@@ -233,12 +233,18 @@ def _flight_scope(args: argparse.Namespace):
     scopes (``_obs_scope``, ``trace``, ``batch``) activate richer tracers
     that *include* the recorder, so the black box never goes dark."""
     from repro.obs import Tracer, activate
-    from repro.obs.flight import FlightRecorder, dump_dir_from_env, install
+    from repro.obs.flight import FlightRecorder, dump_dir_from_env, install, recorder
 
     dump_dir = getattr(args, "flight_dir", None) or dump_dir_from_env()
+    previous = recorder()
     flight = install(FlightRecorder(dump_dir=dump_dir))
-    with activate(Tracer(sinks=[flight])):
-        yield flight
+    try:
+        with activate(Tracer(sinks=[flight])):
+            yield flight
+    finally:
+        # A later command or library call in this process (a batch reads
+        # the installed recorder's directory) must not inherit this one.
+        install(previous)
 
 
 def _budget_from(args: argparse.Namespace):
@@ -610,6 +616,19 @@ def _store_from(args: argparse.Namespace):
     return AnalysisStore(path)
 
 
+def _corpus_store_root(args: argparse.Namespace) -> "str | None":
+    """The store of a corpus command (``batch``, ``diff snapshot``): none
+    with ``--no-store``, else ``--store``, else ``<first path>/.repro-store``
+    (the first path's directory when it names a file)."""
+    if args.no_store:
+        return None
+    if args.store:
+        return args.store
+    first = Path(args.paths[0])
+    base = first if first.is_dir() else first.parent
+    return str(base / ".repro-store")
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Analyze a corpus of .nml files in parallel through a shared store."""
     from repro.batch import BatchInputError, collect_inputs, run_batch
@@ -623,34 +642,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("error: no .nml files found", file=sys.stderr)
         return EXIT_ERROR
 
-    store_root: str | None
-    if args.no_store:
-        store_root = None
-    elif args.store:
-        store_root = args.store
-    else:
-        first = Path(args.paths[0])
-        base = first if first.is_dir() else first.parent
-        store_root = str(base / ".repro-store")
-
-    from repro.robust.resilience import RetryPolicy
-
-    retry = None
-    if args.retries is not None or args.seed:
-        retry = RetryPolicy(
-            max_attempts=(args.retries if args.retries is not None else 3),
-            base_delay_s=args.backoff_ms / 1000.0,
-            seed=args.seed,
-        )
     run_kwargs = dict(
-        store_root=store_root,
+        store_root=_corpus_store_root(args),
         jobs=args.jobs,
         d=args.d,
         max_iterations=args.max_iterations,
         check=args.check,
         deadline_ms=args.deadline_ms,
         timeout_s=args.timeout_ms / 1000.0 if args.timeout_ms is not None else None,
-        retry=retry,
+        max_attempts=args.retries,
         collector=args.gc,
         gc_threshold=args.gc_threshold,
     )
@@ -734,22 +734,12 @@ def _cmd_diff_snapshot(args: argparse.Namespace) -> int:
     from repro.batch import BatchInputError
     from repro.diff.snapshot import snapshot_corpus
 
-    store_root: str | None
-    if args.no_store:
-        store_root = None
-    elif args.store:
-        store_root = args.store
-    else:
-        first = Path(args.paths[0])
-        base = first if first.is_dir() else first.parent
-        store_root = str(base / ".repro-store")
-
     try:
         report = snapshot_corpus(
             args.paths,
             args.out,
             jobs=args.jobs,
-            store_root=store_root,
+            store_root=_corpus_store_root(args),
             d=args.d,
             max_iterations=args.max_iterations,
             timeout_s=args.timeout_ms / 1000.0
@@ -1058,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout-ms",
         type=float,
         help="per-file wall-clock timeout; a hung worker is killed and "
-        "restarted (forces worker processes even with --jobs 1)",
+        "restarted",
     )
     batch_parser.add_argument(
         "--deadline-ms",
@@ -1069,16 +1059,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "--retries",
         type=int,
+        default=3,
         help="attempts per file before quarantine (default: 3)",
-    )
-    batch_parser.add_argument(
-        "--backoff-ms",
-        type=float,
-        default=20.0,
-        help="base retry backoff (exponential, deterministic jitter; default: 20)",
-    )
-    batch_parser.add_argument(
-        "--seed", type=int, default=0, help="jitter seed (default: 0)"
     )
     _add_gc_arg(
         batch_parser, help_prefix="also execute each file under this collector: "
@@ -1128,7 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
     snap_parser.add_argument(
         "--timeout-ms",
         type=float,
-        help="per-file wall-clock timeout (forces worker processes)",
+        help="per-file wall-clock timeout; a hung worker is killed and "
+        "restarted",
     )
     snap_parser.set_defaults(handler=_cmd_diff_snapshot)
 

@@ -36,6 +36,7 @@ warm corpus snapshot is cheap and a poison file cannot sink the run.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -271,22 +272,20 @@ def snapshot_one(
     store_root: "str | None",
     d: "int | None" = None,
     max_iterations: "int | None" = None,
-    check: bool = False,
-    deadline_ms: "float | None" = None,
-    out_dir: "str | None" = None,
-    rel: "str | None" = None,
+    *,
+    out_dir: str,
+    rels: "dict[str, str]",
 ):
-    """Worker body for ``repro diff snapshot`` — the drop-in
-    :func:`repro.batch.analyze_one` replacement (same leading signature, so
-    it rides the same supervision), plus the artifact destination appended
-    by the driver's ``worker_extra``.
+    """Worker body for ``repro diff snapshot``: snapshot the file at
+    ``path`` into ``out_dir`` under its corpus-relative key ``rels[path]``.
+    :func:`snapshot_corpus` binds every argument but ``path``, so the body
+    rides the batch supervision as a callable of the path.
 
-    ``check`` and ``deadline_ms`` are accepted for signature compatibility
-    and ignored: a snapshot always audits (certification needs it) and
-    never degrades (a ``W^τ`` fallback would depend on machine load, and
-    artifacts must be byte-stable).
+    A snapshot always audits (certification needs it) and never degrades
+    (a ``W^τ`` fallback would depend on machine load, and artifacts must
+    be byte-stable), so it takes no ``check`` or deadline option.
     """
-    assert out_dir is not None and rel is not None
+    rel = rels[path]
     try:
         program = parse_program(Path(path).read_text())
         # run_batch swept the store's stale temp files once, before any
@@ -351,7 +350,6 @@ def snapshot_corpus(
     d: "int | None" = None,
     max_iterations: "int | None" = None,
     timeout_s: "float | None" = None,
-    retry=None,
     fault_plan=None,
 ):
     """Snapshot a corpus into ``out_dir`` through the supervised batch
@@ -367,17 +365,21 @@ def snapshot_corpus(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    root = str(store_root) if store_root is not None else None
     report = run_batch(
         paths,
-        store_root=store_root,
+        store_root=root,
         jobs=jobs,
-        d=d,
-        max_iterations=max_iterations,
         timeout_s=timeout_s,
-        retry=retry,
         fault_plan=fault_plan,
-        worker=snapshot_one,
-        worker_extra=lambda p: (str(out), rels[str(p)]),
+        worker=functools.partial(
+            snapshot_one,
+            store_root=root,
+            d=d,
+            max_iterations=max_iterations,
+            out_dir=str(out),
+            rels=rels,
+        ),
     )
     for file_report in report.reports:
         rel = rels.get(file_report.path)

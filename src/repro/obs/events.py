@@ -14,11 +14,11 @@ listed in :data:`EVENT_FIELDS`.  The vocabulary covers the whole pipeline:
   (the on-disk SCC tier of :mod:`repro.store`, keyed by provenance
   digest), ``store_reap`` (stale temp files swept at store open);
 * **hardened engine** — ``budget_charge``, ``degradation``;
-* **resilience layer** — ``retry`` (one backoff taken), ``timeout`` (an
-  attempt preempted at its deadline), ``quarantine`` (a poison input
-  excluded after exhausting attempts), ``circuit_state`` (a per-target
-  breaker transition), ``worker_restart`` (the batch supervisor replacing
-  a crashed or hung worker);
+* **resilience layer** — ``retry`` (a failed file back on the queue),
+  ``timeout`` (an attempt preempted at its deadline), ``quarantine`` (a
+  poison input excluded after exhausting attempts), ``circuit_state`` (a
+  per-target breaker transition), ``worker_restart`` (the batch
+  supervisor replacing a crashed or hung worker);
 * **service** — ``serve_request`` (one daemon request: endpoint, HTTP
   status, degraded/coalesced flags);
 * **optimizer** — ``decision``, ``transform_applied``,
@@ -83,7 +83,7 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "budget_charge": ("wall_s", "eval_steps", "iterations"),
     "degradation": ("reason", "stage"),
     # resilience layer (retry/timeout/quarantine/circuit, supervised workers)
-    "retry": ("key", "attempt", "delay_s"),
+    "retry": ("key", "attempt"),
     "timeout": ("key", "deadline_s"),
     "quarantine": ("key", "attempts", "reason"),
     "circuit_state": ("target", "state"),

@@ -35,8 +35,10 @@ from pathlib import Path
 #: engine emits ~hundreds of events per solve), small enough to be cheap.
 DEFAULT_FLIGHT_CAPACITY = 4_096
 
-#: Cap on dump files per recorder, so a pathological run (every file of a
-#: large batch degrading) cannot fill the disk with near-identical boxes.
+#: Cap on dump files per recorder, and on the worker dumps of one batch run
+#: (:mod:`repro.batch` stops handing workers the dump directory once their
+#: answers have brought back this many), so a pathological run (every file
+#: of a large batch degrading) cannot fill the disk with near-identical boxes.
 DEFAULT_MAX_DUMPS = 8
 
 #: Event types that trip an automatic dump.
@@ -139,8 +141,9 @@ class FlightRecorder:
 _installed: FlightRecorder | None = None
 
 
-def install(flight: FlightRecorder) -> FlightRecorder:
-    """Make ``flight`` the process-wide recorder; returns it."""
+def install(flight: "FlightRecorder | None") -> "FlightRecorder | None":
+    """Make ``flight`` the process-wide recorder (``None`` uninstalls);
+    returns it."""
     global _installed
     _installed = flight
     return flight

@@ -5,9 +5,8 @@
 * :mod:`repro.robust.budget`  — :class:`AnalysisBudget` (deadline + work
   limits) and its runtime :class:`BudgetMeter`;
 * :mod:`repro.robust.faults`  — deterministic fault injection;
-* :mod:`repro.robust.resilience` — deterministic-jitter retry backoff and
-  quarantine (the batch supervisor) and the per-target circuit breaker
-  (the daemon);
+* :mod:`repro.robust.resilience` — the daemon's per-target circuit
+  breaker;
 * :mod:`repro.robust.chaos`   — seeded chaos schedules and the soak
   harness that asserts the always-answer invariant.
 
@@ -33,9 +32,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "WorkBudgetExceeded", "classify", "degradation_for", "reason_for",
         ),
         "repro.robust.faults": ("FaultInjector", "FaultPlan", "SlowStage", "StageFault"),
-        "repro.robust.resilience": (
-            "CircuitBreaker", "Quarantine", "QuarantineEntry", "RetryPolicy",
-        ),
+        "repro.robust.resilience": ("CircuitBreaker",),
     },
     modules=("faults",),
 )

@@ -180,10 +180,8 @@ def soak_batch(
     into ``report`` and return the per-round :class:`~repro.batch
     .BatchReport`\\ s."""
     from repro.batch import run_batch
-    from repro.robust.resilience import RetryPolicy
 
     rng = random.Random(seed)
-    retry = RetryPolicy(max_attempts=3, base_delay_s=0.02, max_delay_s=0.2, seed=seed)
     batch_reports = []
     for round_index in range(rounds):
         plan = seeded_batch_plan(rng, timeout_s)
@@ -194,7 +192,6 @@ def soak_batch(
             jobs=jobs,
             deadline_ms=deadline_ms,
             timeout_s=timeout_s,
-            retry=retry,
             fault_plan=plan,
         )
         batch_reports.append(batch)

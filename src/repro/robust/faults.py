@@ -21,17 +21,18 @@ Stages currently instrumented:
 * ``"store_load"``, ``"store_write"`` — the on-disk analysis store
   (:mod:`repro.store`): a ``store_load`` fault reads as a miss, a
   ``store_write`` fault loses the write (both are absorbed, by design);
-* ``"worker"``   — entry to one supervised batch worker attempt
-  (:mod:`repro.batch`), the stage the supervisor's crash/hang faults key on;
+* ``"worker"``   — one supervised batch worker attempt (:mod:`repro.batch`):
+  only a :class:`SlowStage` applies, and the supervisor counts its
+  ordinals over launches and stalls that attempt, a hung worker;
 * ``"serve"``    — entry to one daemon request execution
   (:mod:`repro.serve`).
 
 Beyond raising, a plan can *tear* a store write (``torn_write_at``: the
 payload lands truncated and the temp file is orphaned, exactly the residue
 of a writer killed between create and rename), *crash* a worker process
-(``worker_crash_at``: ``os._exit`` mid-task, the supervisor must replace
-it), and *stall* a stage (``slow_stages``: a deterministic sleep, the hung
-worker the per-file timeout must reap).
+(``worker_crash_at``: ``os._exit`` as the attempt starts, the supervisor
+must replace it), and *stall* a stage (``slow_stages``: a deterministic
+sleep, the hung worker the per-file timeout must reap).
 
 Use as a context manager so a failing test cannot leak faults into the
 next one::
@@ -96,12 +97,19 @@ class FaultPlan:
       lands truncated on disk and the temp file is orphaned, simulating a
       writer that died between create and rename (``torn_write_every``
       repeats it);
-    * ``worker_crash_at``  — the ``n``-th supervised worker attempt dies
-      hard (``os._exit`` in a worker process, an exception in-process);
+    * ``worker_crash_at``  — the ``n``-th supervised worker attempt,
+      counted by the supervisor over launches, dies hard (``os._exit`` in
+      the worker process);
     * ``unsound_reuse_at`` — the ``n``-th reuse specialization silently
       skips its escape/liveness safety gate, producing a genuinely unsound
       ``DCONS`` program — the adversarial input the static auditor
       (:mod:`repro.check.audit`) must catch without running it.
+
+    Under :func:`repro.batch.run_batch` every worker attempt activates a
+    fresh copy of the plan, so every ordinal except the worker stage's
+    (``worker_crash_at`` and ``"worker"`` stalls, which the supervisor
+    counts over launches) counts from 1 in each file attempt, not across
+    the run.
     """
 
     fail_alloc_at: int | None = None
@@ -124,7 +132,6 @@ class FaultInjector:
         self.safepoints = 0
         self.reuse_gates = 0
         self.store_writes = 0
-        self.worker_entries = 0
         self.stage_entries: dict[str, int] = {}
         #: every fault actually fired, for test assertions
         self.fired: list[str] = []
@@ -173,14 +180,6 @@ class FaultInjector:
             and self.store_writes % plan.torn_write_every == 0
         ):
             self.fired.append(f"torn_write@{self.store_writes}")
-            return True
-        return False
-
-    def take_worker_crash(self) -> bool:
-        """True when the current supervised worker attempt must die hard."""
-        self.worker_entries += 1
-        if self.plan.worker_crash_at == self.worker_entries:
-            self.fired.append(f"worker_crash@{self.worker_entries}")
             return True
         return False
 
@@ -248,7 +247,3 @@ def take_unsound_reuse() -> bool:
 
 def take_torn_write() -> bool:
     return _ACTIVE is not None and _ACTIVE.take_torn_write()
-
-
-def take_worker_crash() -> bool:
-    return _ACTIVE is not None and _ACTIVE.take_worker_crash()

@@ -1,5 +1,5 @@
 """The parallel batch driver (:mod:`repro.batch`) and its ``repro batch``
-CLI: corpus collection, serial and process-parallel runs through a shared
+CLI: corpus collection, one-worker and many-worker runs through a shared
 store, warm-run accounting, error containment, and the long-lived worker
 pool."""
 
@@ -22,7 +22,6 @@ from repro.lang.prelude import prelude_source
 from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
 from repro.robust.faults import FaultPlan, SlowStage
-from repro.robust.resilience import RetryPolicy
 
 APPEND = prelude_source(["append"], "append [1, 2] [3]")
 REV = prelude_source(["append", "rev"], "rev [1, 2, 3]")
@@ -74,6 +73,28 @@ class TestAnalyzeOne:
 
         report = analyze_one(str(corpus / "append.nml"), None)
         assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_check_solves_no_scc_the_analysis_solved(self, corpus):
+        # The audit analyzes the dcons-erased program (here the program
+        # itself) through a session derived from the file's.
+        ring = RingBufferSink(capacity=None)
+        with activate(Tracer(sinks=[ring])):
+            report = analyze_one(str(corpus / "append.nml"), None, check=True)
+        assert report.ok and report.check is not None and not report.check_error
+        events = ring.events
+        audit = next(
+            i
+            for i, e in enumerate(events)
+            if e["type"] == "span_start" and e["name"] == "check:audit"
+        )
+
+        def solved(window):
+            return [
+                tuple(e["names"]) for e in window if e["type"] == "scc_solve_start"
+            ]
+
+        assert solved(events[:audit]) == [("append",)]
+        assert solved(events[audit:]) == []
 
 
 class TestRunBatch:
@@ -155,23 +176,30 @@ class TestRunBatch:
         assert not stale.exists()
         assert len(sweeps) == 1  # at the start of the run, not per file
 
-    def test_in_process_snapshot_worker_does_not_sweep(
-        self, corpus, tmp_path, monkeypatch
+    @pytest.mark.parametrize("body", ["analyze", "snapshot"])
+    def test_in_process_worker_body_does_not_sweep(
+        self, corpus, tmp_path, monkeypatch, body
     ):
+        # Workers run in child processes, where a patched sweep is out of
+        # sight of the driver's test: call each worker body here instead.
+        # (The sweep absorbs errors, so count the calls rather than raise.)
         from repro.diff.snapshot import snapshot_one
         from repro.store import AnalysisStore
 
-        def no_sweep(self):
-            raise AssertionError("a worker swept the store")
-
-        monkeypatch.setattr(AnalysisStore, "tmp_files", no_sweep)
-        report = snapshot_one(
-            str(corpus / "append.nml"),
-            str(tmp_path / "store"),
-            out_dir=str(tmp_path / "out"),
-            rel="append.nml",
+        sweeps = []
+        monkeypatch.setattr(
+            AnalysisStore, "tmp_files", lambda self: sweeps.append(1) or []
         )
+        path = str(corpus / "append.nml")
+        store = str(tmp_path / "store")
+        if body == "analyze":
+            report = analyze_one(path, store)
+        else:
+            report = snapshot_one(
+                path, store, out_dir=str(tmp_path / "out"), rels={path: "append.nml"}
+            )
         assert report.ok
+        assert sweeps == []
 
     def test_totals_skip_failed_files_and_bools(self):
         report = BatchReport(
@@ -198,6 +226,11 @@ class TestBatchCli:
     def test_batch_default_store_next_to_corpus(self, corpus, capsys):
         assert main(["batch", str(corpus)]) == 0
         assert (corpus / ".repro-store").is_dir()
+
+    def test_batch_file_argument_stores_next_to_the_file(self, corpus, capsys):
+        assert main(["batch", str(corpus / "append.nml")]) == 0
+        assert (corpus / ".repro-store").is_dir()
+        assert not (corpus / "append.nml" / ".repro-store").exists()
 
     def test_batch_no_store(self, corpus, capsys):
         assert main(["batch", str(corpus), "--no-store"]) == 0
@@ -237,8 +270,6 @@ class TestSupervisedFailures:
     workers are replaced, poison inputs are quarantined — and every path
     is deterministic under a seeded plan."""
 
-    RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, seed=1)
-
     def test_hung_worker_is_killed_and_retried(self, corpus, tmp_path):
         ring = RingBufferSink(capacity=None)
         plan = FaultPlan(slow_stages=(SlowStage("worker", at=1, seconds=10.0),))
@@ -248,7 +279,6 @@ class TestSupervisedFailures:
                 store_root=tmp_path / "store",
                 jobs=2,
                 timeout_s=0.4,
-                retry=self.RETRY,
                 fault_plan=plan,
             )
         assert report.ok and report.answered
@@ -268,7 +298,6 @@ class TestSupervisedFailures:
                 store_root=tmp_path / "store",
                 jobs=2,
                 timeout_s=5.0,
-                retry=self.RETRY,
                 fault_plan=plan,
             )
         assert report.ok
@@ -279,9 +308,8 @@ class TestSupervisedFailures:
 
     def test_always_hanging_file_is_quarantined_not_fatal(self, corpus, tmp_path):
         plan = FaultPlan(slow_stages=(SlowStage("worker", at=1, every=1, seconds=10.0),))
-        retry = RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.02, seed=1)
         report = run_batch(
-            [corpus], jobs=2, timeout_s=0.25, retry=retry, fault_plan=plan
+            [corpus], jobs=2, timeout_s=0.25, max_attempts=2, fault_plan=plan
         )
         assert report.answered and not report.ok
         assert not report.hard_failures
@@ -293,29 +321,42 @@ class TestSupervisedFailures:
         doc = report.to_json()
         assert doc["exit_code"] == 3 and doc["quarantined"] == len(report.reports)
 
-    def test_serial_injected_crash_retries_with_deterministic_jitter(
-        self, corpus, tmp_path
-    ):
+    def test_one_worker_retries_an_injected_crash_once(self, corpus):
         ring = RingBufferSink(capacity=None)
         plan = FaultPlan(worker_crash_at=1)
         with activate(Tracer(sinks=[ring])):
-            report = run_batch(
-                [corpus], jobs=1, retry=self.RETRY, fault_plan=plan
-            )
+            report = run_batch([corpus], jobs=1, fault_plan=plan)
         assert report.ok
         retries = [e for e in ring.events if e["type"] == "retry"]
         assert len(retries) == 1
         failed = report.reports[0]
         assert failed.attempts == 2
-        # the delay taken is exactly the policy's pure function of
-        # (seed, key, attempt) — a chaos schedule replays bit-identically
-        assert retries[0]["delay_s"] == round(self.RETRY.delay(failed.path, 1), 9)
         assert retries[0]["key"] == failed.path
+        assert retries[0]["attempt"] == 1
+        validate_trace(ring.events)
+
+    def test_a_file_gets_exactly_max_attempts(self, corpus):
+        # Attempts 1 and 2 of 3 are retried; attempt 3 is quarantined.
+        ring = RingBufferSink(capacity=None)
+        plan = FaultPlan(slow_stages=(SlowStage("worker", at=1, every=1, seconds=10.0),))
+        with activate(Tracer(sinks=[ring])):
+            report = run_batch(
+                [corpus / "append.nml"],
+                jobs=1,
+                timeout_s=0.2,
+                max_attempts=3,
+                fault_plan=plan,
+            )
+        assert [e["attempt"] for e in ring.events if e["type"] == "retry"] == [1, 2]
+        [quarantine] = [e for e in ring.events if e["type"] == "quarantine"]
+        assert quarantine["attempts"] == 3 and quarantine["reason"] == "timeout"
+        assert report.reports[0].quarantined and report.reports[0].attempts == 3
 
     def test_quarantined_file_carries_failure_history(self, corpus):
         plan = FaultPlan(slow_stages=(SlowStage("worker", at=1, every=1, seconds=10.0),))
-        retry = RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.02, seed=1)
-        report = run_batch([corpus], jobs=1, timeout_s=0.25, retry=retry, fault_plan=plan)
+        report = run_batch(
+            [corpus], jobs=1, timeout_s=0.25, max_attempts=2, fault_plan=plan
+        )
         doc = report.to_json()
         entry = next(f for f in doc["files"] if f["quarantined"])
         assert entry["attempts"] == 2 and not entry["ok"]
@@ -374,9 +415,9 @@ class TestInputValidation:
         assert "no such file" in capsys.readouterr().err
 
 
-def pid_worker(*args) -> FileReport:
+def pid_worker(path: str) -> FileReport:
     """:func:`analyze_one`, plus the pid of the process that answered."""
-    report = analyze_one(*args)
+    report = analyze_one(path, None)
     report.stats["pid"] = os.getpid()
     return report
 
@@ -398,12 +439,17 @@ class TestWorkerPool:
     """``jobs`` long-lived workers answer the whole corpus; a worker is
     replaced only when it crashes or overruns a deadline."""
 
-    RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, seed=1)
-
     def test_clean_run_is_answered_by_jobs_workers(self, wide_corpus):
         report = run_batch([wide_corpus], jobs=2, worker=pid_worker)
         assert report.ok
         assert len(_pids(report)) == 2
+        assert os.getpid() not in _pids(report)
+        assert all(r.attempts == 1 for r in report.reports)
+
+    def test_one_job_is_answered_by_one_forked_worker(self, wide_corpus):
+        report = run_batch([wide_corpus], jobs=1, worker=pid_worker)
+        assert report.ok
+        assert len(_pids(report)) == 1
         assert os.getpid() not in _pids(report)
         assert all(r.attempts == 1 for r in report.reports)
 
@@ -418,7 +464,6 @@ class TestWorkerPool:
         report = run_batch(
             [wide_corpus],
             jobs=2,
-            retry=self.RETRY,
             fault_plan=FaultPlan(worker_crash_at=crash_at),
             worker=pid_worker,
         )
@@ -443,7 +488,6 @@ class TestWorkerPool:
                 [wide_corpus],
                 jobs=2,
                 timeout_s=1.0,
-                retry=self.RETRY,
                 fault_plan=plan,
                 worker=pid_worker,
             )
@@ -464,9 +508,8 @@ class TestWorkerPool:
         ids=["clean", "crash", "quarantine"],
     )
     def test_no_worker_outlives_the_run(self, corpus, plan, timeout_s):
-        retry = RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.02, seed=1)
         report = run_batch(
-            [corpus], jobs=2, timeout_s=timeout_s, retry=retry, fault_plan=plan
+            [corpus], jobs=2, timeout_s=timeout_s, max_attempts=2, fault_plan=plan
         )
         assert report.answered
         assert multiprocessing.active_children() == []
@@ -540,15 +583,15 @@ import repro.diff.snapshot as snapshot
 original = snapshot.snapshot_one
 
 
-def pid_snapshot(*args):
-    report = original(*args)
+def pid_snapshot(*args, **kwargs):
+    report = original(*args, **kwargs)
     report.stats["pid"] = os.getpid()
     return report
 
 
 snapshot.snapshot_one = pid_snapshot
 corpus, out = sys.argv[1:]
-one = snapshot.snapshot_corpus([corpus], out + "/one", jobs=1, timeout_s=60)
+one = snapshot.snapshot_corpus([corpus], out + "/one", jobs=1)
 three = snapshot.snapshot_corpus([corpus], out + "/three", jobs=3)
 print(json.dumps({
     "ok": one.ok and three.ok,
@@ -557,6 +600,42 @@ print(json.dumps({
     "three": snapshot.tree_digest(out + "/three"),
 }))
 """
+
+
+def test_snapshot_bytes_do_not_depend_on_jobs(tmp_path):
+    """``repro diff snapshot --jobs 1`` writes the tree ``--jobs 2`` writes.
+
+    ``f l = nil`` renders its scheme from the type-variable counter its
+    analysis starts at, so a run that carried the counter from
+    ``a_partition_sort.nml`` into ``b_nil.nml`` would write different
+    bytes.  Each run is a fresh CLI process, as in CI: in a long test
+    process the counter is already high at fork time."""
+    root = Path(__file__).resolve().parents[1]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    source = (root / "examples" / "partition_sort.nml").read_text()
+    (corpus / "a_partition_sort.nml").write_text(source)
+    (corpus / "b_nil.nml").write_text("f l = nil;\nf [8]")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("REPRO_FLIGHT_DIR", None)
+    trees = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "diff", "snapshot", str(corpus),
+             "--no-store", "--jobs", jobs, "--out", str(out)],
+            cwd=root,
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        trees[jobs] = {
+            path.relative_to(out).as_posix(): path.read_text()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+    assert trees["1"] == trees["2"]
 
 
 def test_one_worker_writes_what_three_write(tmp_path):

@@ -353,8 +353,9 @@ class TestPlantedRegression:
 
     def test_fault_decertifies_and_compare_gates(self, corpus, tmp_path):
         base, head = tmp_path / "base", tmp_path / "head"
-        # Snapshot only the planted file: the fault counter is global, and
-        # reuse specializations in earlier corpus files would consume it.
+        # Snapshot only the planted file: the fault plan's ordinals count
+        # per file attempt, and ``unsound_reuse_at=1`` would plant a fault
+        # in every corpus file that specializes a reuse.
         planted = corpus / "planted.nml"
         snapshot_corpus([planted], base)
         snapshot_corpus([planted], head, fault_plan=FaultPlan(unsound_reuse_at=1))
@@ -458,6 +459,17 @@ class TestDiffCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["exit_code"] == 0
         assert doc["gate"] == sorted(DEFAULT_GATE)
+
+    def test_snapshot_store_defaults_to_the_corpus(self, corpus, tmp_path, capsys):
+        # The same default as ``repro batch``: <first path>/.repro-store.
+        out = str(tmp_path / "snap")
+        assert main(["diff", "snapshot", str(corpus), "--out", out]) == 0
+        assert (corpus / ".repro-store").is_dir()
+        store = tmp_path / "store"
+        out2 = str(tmp_path / "snap2")
+        args = ["diff", "snapshot", str(corpus), "--out", out2, "--store", str(store)]
+        assert main(args) == 0
+        assert store.is_dir()
 
     def test_snapshot_bad_input_exits_2(self, tmp_path, capsys):
         code = main(

@@ -6,6 +6,7 @@ accepts and ``repro explain`` can reconstruct the degraded query from."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.obs.events import validate_trace, validate_trace_file
 from repro.obs.explain import explain_binding
 from repro.obs.flight import (
     DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_MAX_DUMPS,
     FLIGHT_DIR_ENV,
     FlightRecorder,
     dump_dir_from_env,
@@ -95,6 +97,8 @@ class TestFlightRecorder:
         assert [e["src_seq"] for e in events[1:]] == [0, 1]
 
     def test_install_and_env_dir(self, tmp_path, monkeypatch):
+        # Put the process-wide recorder back after the test.
+        monkeypatch.setattr("repro.obs.flight._installed", None)
         flight = FlightRecorder()
         assert install(flight) is flight
         assert recorder() is flight
@@ -113,6 +117,7 @@ class TestFlightRecorder:
 
 APPEND = prelude_source(["append"], "append [1, 2] [3]")
 REV = prelude_source(["append", "rev"], "rev [1, 2, 3]")
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestChaosAcceptance:
@@ -128,52 +133,59 @@ class TestChaosAcceptance:
         (root / "rev.nml").write_text(REV)
         return root
 
-    def test_chaos_run_leaves_an_explainable_black_box(self, corpus, tmp_path):
+    def test_chaos_run_leaves_an_explainable_black_box(
+        self, corpus, tmp_path, monkeypatch
+    ):
         from repro.batch import run_batch
         from repro.robust.faults import FaultPlan
-        from repro.robust.resilience import RetryPolicy
 
         box = tmp_path / "black-box"
         flight = FlightRecorder(dump_dir=box)
+        # Every worker attempt dumps into the installed recorder's directory.
+        monkeypatch.setattr("repro.obs.flight._installed", flight)
         plan = FaultPlan(worker_crash_at=1)
-        retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, seed=7)
         with activate(Tracer(sinks=[flight])):
             report = run_batch(
                 [corpus],
                 store_root=None,
                 jobs=1,
                 deadline_ms=0.0001,
-                retry=retry,
+                max_attempts=2,
                 fault_plan=plan,
                 trace=True,
             )
-        # The injected crash was retried and the tiny deadline degraded
-        # every solve — both are flight triggers.
-        assert flight.triggers >= 1
+        # The injected crash was retried (the driver's trigger) and the tiny
+        # deadline degraded every solve (the workers' triggers).
+        assert flight.triggers >= 1 and flight.dumps
         assert report.degraded_files
         assert report.exit_code() == 3
-        assert flight.dumps
+        dumps = sorted(box.glob("*.jsonl"))
+        assert set(flight.dumps) < set(dumps)
 
         # Every dump is a schema-valid trace in its own right.
-        for dump in flight.dumps:
+        for dump in dumps:
             validate_trace_file(dump)
 
-        # And the black box alone reconstructs the degraded query's
-        # causal chain: the binding was found, its degradation recorded.
-        events = [
-            json.loads(line)
-            for line in flight.dumps[-1].read_text().splitlines()
-        ]
+        # And a black box alone reconstructs the degraded query's causal
+        # chain: the binding was found, its degradation recorded.
         degraded = next(r for r in report.reports if r.degraded)
         binding = "rev" if "rev" in degraded.path else "append"
-        explanation = explain_binding(events, binding)
-        assert explanation.found
-        assert explanation.degradations
-        assert degraded.trace_id in explanation.trace_ids
+
+        def explains(dump) -> bool:
+            events = [json.loads(line) for line in dump.read_text().splitlines()]
+            explanation = explain_binding(events, binding)
+            return (
+                explanation.found
+                and bool(explanation.degradations)
+                and degraded.trace_id in explanation.trace_ids
+            )
+
+        explained = [dump for dump in dumps if explains(dump)]
+        assert explained
 
         # The CLI agrees: `repro explain` on the dump file exits 0 and
         # renders the degradation chain.
-        assert main(["explain", str(flight.dumps[-1]), "--binding", binding]) == 0
+        assert main(["explain", str(explained[0]), "--binding", binding]) == 0
 
     def test_cli_batch_degradation_dumps_with_flight_dir(
         self, corpus, tmp_path, capsys
@@ -195,6 +207,55 @@ class TestChaosAcceptance:
         assert dumps
         for dump in dumps:
             validate_trace_file(dump)
+
+    def test_flight_dir_reaches_the_workers(self, tmp_path, monkeypatch, capsys):
+        # The workers' own recorders hold the degraded queries' run-up; the
+        # driver sees only their exit code.
+        monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "partition_sort.nml").write_text(
+            (EXAMPLES / "partition_sort.nml").read_text()
+        )
+        box = tmp_path / "box"
+        code = main(
+            [
+                "--flight-dir",
+                str(box),
+                "batch",
+                str(corpus),
+                "--no-store",
+                "--deadline-ms",
+                "0.0001",
+                "--jobs",
+                "2",
+            ]
+        )
+        assert code == 3
+
+        def breaches(dump) -> list:
+            events = [json.loads(line) for line in dump.read_text().splitlines()]
+            explanation = explain_binding(events, "ps")
+            return [d for d in explanation.degradations if d["function"] == "ps"]
+
+        explained = [dump for dump in sorted(box.glob("*.jsonl")) if breaches(dump)]
+        assert explained
+        assert main(["explain", str(explained[0]), "--binding", "ps"]) == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_dumps_are_capped_per_run(self, tmp_path, jobs, capsys):
+        # Every file degrades, but the workers stop dumping once the run has
+        # DEFAULT_MAX_DUMPS boxes; each running worker may finish its own.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in range(3 * DEFAULT_MAX_DUMPS):
+            (corpus / f"f{i:02d}.nml").write_text(APPEND)
+        box = tmp_path / "box"
+        argv = ["--flight-dir", str(box), "batch", str(corpus), "--no-store"]
+        argv += ["--deadline-ms", "0.0001", "--jobs", str(jobs)]
+        assert main(argv) == 3
+        dumps = list(box.glob("worker-flight-*.jsonl"))
+        assert DEFAULT_MAX_DUMPS <= len(dumps) <= jobs * DEFAULT_MAX_DUMPS
 
     def test_cli_no_flight_dir_writes_nothing(self, corpus, tmp_path, monkeypatch):
         monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)

@@ -189,7 +189,7 @@ print(sorted(m for m in set(sys.modules) - before if m.startswith("repro")))
             "repro.diff.snapshot",
             "snapshot_one",
             'snapshot_one(path, tmp + "/store", out_dir=tmp + "/out", '
-            'rel=path.rsplit("/", 1)[-1])',
+            'rels={path: path.rsplit("/", 1)[-1]})',
         ),
     ],
     ids=["batch", "batch-hardened", "snapshot"],

@@ -580,7 +580,7 @@ class TestResilienceEventVocabulary:
 
     def test_new_event_types_validate(self):
         validate_event(self._event("store_reap", count=2))
-        validate_event(self._event("retry", key="a.nml", attempt=1, delay_s=0.05))
+        validate_event(self._event("retry", key="a.nml", attempt=1))
         validate_event(self._event("timeout", key="a.nml", deadline_s=0.5))
         validate_event(
             self._event("quarantine", key="a.nml", attempts=3, reason="timeout")

@@ -1,11 +1,6 @@
-"""Resilience policies: deterministic backoff, the per-target circuit
-breaker, and poison-input quarantine.
-
-The properties that matter for the always-answer contract: delays are a
-pure function of ``(seed, key, attempt)`` (chaos runs replay exactly),
-breaker transitions follow closed → open → half-open → {closed, open}
-under an injected clock (no real waiting), and quarantine keeps the full
-failure history.
+"""The daemon's per-target circuit breaker: transitions follow closed →
+open → half-open → {closed, open} under an injected clock (no real
+waiting), and every transition is a schema-valid ``circuit_state`` event.
 """
 
 from __future__ import annotations
@@ -14,7 +9,7 @@ import pytest
 
 from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
-from repro.robust.resilience import CircuitBreaker, Quarantine, RetryPolicy
+from repro.robust.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -26,57 +21,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-# ---------------------------------------------------------------------------
-# retry policy
-# ---------------------------------------------------------------------------
-
-
-def test_backoff_is_deterministic_per_seed_key_attempt():
-    a = RetryPolicy(seed=7)
-    b = RetryPolicy(seed=7)
-    for attempt in (1, 2, 3, 9):
-        assert a.delay("x.nml", attempt) == b.delay("x.nml", attempt)
-        assert a.jitter_fraction("x.nml", attempt) == b.jitter_fraction(
-            "x.nml", attempt
-        )
-
-
-def test_backoff_decorrelates_across_seeds_and_keys():
-    policy = RetryPolicy(seed=0)
-    other_seed = RetryPolicy(seed=1)
-    assert policy.delay("a.nml", 1) != other_seed.delay("a.nml", 1)
-    assert policy.delay("a.nml", 1) != policy.delay("b.nml", 1)
-
-
-def test_backoff_grows_exponentially_within_the_jitter_band():
-    policy = RetryPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=100.0, jitter=0.5)
-    for attempt in range(1, 6):
-        capped = 0.1 * 2.0 ** (attempt - 1)
-        delay = policy.delay("k", attempt)
-        assert capped * 0.75 <= delay <= capped * 1.25
-
-
-def test_backoff_caps_at_max_delay():
-    policy = RetryPolicy(base_delay_s=1.0, multiplier=10.0, max_delay_s=2.0, jitter=0.0)
-    assert policy.delay("k", 5) == 2.0
-
-
-def test_zero_jitter_is_pure_exponential():
-    policy = RetryPolicy(base_delay_s=0.5, multiplier=2.0, max_delay_s=100.0, jitter=0.0)
-    assert [policy.delay("k", n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-
-def test_should_retry_boundary():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.should_retry(1) and policy.should_retry(2)
-    assert not policy.should_retry(3)
-
-
-# ---------------------------------------------------------------------------
-# circuit breaker
-# ---------------------------------------------------------------------------
 
 
 def test_breaker_opens_at_threshold_and_refuses():
@@ -145,26 +89,3 @@ def test_breaker_snapshot_and_transition_events():
 def test_breaker_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         CircuitBreaker(failure_threshold=0)
-
-
-# ---------------------------------------------------------------------------
-# quarantine
-# ---------------------------------------------------------------------------
-
-
-def test_quarantine_records_full_history():
-    ring = RingBufferSink(capacity=None)
-    quarantine = Quarantine()
-    with activate(Tracer(sinks=[ring])):
-        quarantine.add("bad.nml", attempts=3, reason="analysis-error", errors=["a", "b"])
-    assert "bad.nml" in quarantine and len(quarantine) == 1
-    assert quarantine.to_json() == [
-        {
-            "key": "bad.nml",
-            "attempts": 3,
-            "reason": "analysis-error",
-            "errors": ["a", "b"],
-        }
-    ]
-    assert [e["type"] for e in ring.events] == ["quarantine"]
-    validate_trace(ring.events)
